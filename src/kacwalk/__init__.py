@@ -17,7 +17,6 @@ Modules: ``linalg`` (dense kernels), ``walk`` (the core process),
 
 from kacwalk.linalg import (
     frobenius_sq,
-    gram_entry,
     normalize_rows,
     singular_values,
 )
@@ -40,7 +39,6 @@ from kacwalk.solver import (
     SolveTrace,
     kaczmarz_solve,
     precondition_then_solve,
-    project_onto_row,
 )
 from kacwalk.systems import (
     gaussian_system,
@@ -49,7 +47,6 @@ from kacwalk.systems import (
 )
 from kacwalk.theory import (
     GainReport,
-    PredictionCurve,
     expected_gain_exact,
     logistic_ode_check,
     predict_linear,
@@ -72,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "frobenius_sq",
-    "gram_entry",
     "normalize_rows",
     "singular_values",
     "CircleEnsemble",
@@ -91,12 +87,10 @@ __all__ = [
     "SolveTrace",
     "kaczmarz_solve",
     "precondition_then_solve",
-    "project_onto_row",
     "gaussian_system",
     "random_circle_ensemble",
     "random_orthogonal_system",
     "GainReport",
-    "PredictionCurve",
     "expected_gain_exact",
     "logistic_ode_check",
     "predict_linear",

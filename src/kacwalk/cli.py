@@ -6,6 +6,7 @@ Exits 0 on success, nonzero with a one-line diagnostic on any failure.
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -58,6 +59,12 @@ def resolve_config(args):
             )
     else:
         cfg = experiments.default_config(args.experiment)
+    extra = dict(cfg.extra)
+    for item in args.extra:
+        if "=" not in item:
+            raise ValueError(f"--extra expects KEY=VALUE, got {item!r}")
+        key, _, value = item.partition("=")
+        extra[key.strip()] = value.strip()
     overrides = {
         "seed": args.seed,
         "steps": args.steps,
@@ -67,21 +74,8 @@ def resolve_config(args):
         "snapshot_every": args.snapshot_every,
         "output_dir": args.out,
     }
-    extra = dict(cfg.extra)
-    for item in args.extra:
-        if "=" not in item:
-            raise ValueError(f"--extra expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        extra[key.strip()] = value.strip()
-    fields = {
-        name: getattr(cfg, name)
-        for name in ("experiment", "m", "n", "seed", "steps",
-                     "snapshot_every", "output_dir", "trials")
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            fields[name] = value
-    return experiments.ExperimentConfig(extra=extra, **fields)
+    return dataclasses.replace(cfg, extra=extra, **{
+        name: value for name, value in overrides.items() if value is not None})
 
 
 def main(argv=None):

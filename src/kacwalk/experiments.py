@@ -12,7 +12,6 @@ anything else lands in ``extra``. Blank lines and ``#`` comments are
 ignored. ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
 """
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,18 +182,6 @@ def _extra_bool(cfg, key, default=False):
     raise ValueError(f"extra key {key!r} must be boolean-like, got {value!r}")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    return Path(path)
-
-
-def _fmt(x):
-    return repr(float(x))
-
-
 def _fname_num(x):
     return f"{float(x):g}"
 
@@ -205,6 +192,38 @@ def _cond(sigmas):
 
 def _iters_to_target(trace):
     return int(trace.iters[-1]) if trace.converged else None
+
+
+def _walk_trials(cfg, out, files, health, steps_csv=False):
+    """Per trial: draw the seeded Gaussian system, walk it, and write
+    ``sigma_traj_<seed>.csv`` (and ``steps_<seed>.csv`` if asked).
+
+    Yields (seed, snapshots). Each trial's walk health (the largest
+    residual at x_ref, the skipped steps, and the cumulative
+    log-amplification sum -1/2 log(1 - c^2) that b went through) is
+    appended to ``health``; the step log itself is dropped before the
+    next trial, since long runs log millions of steps."""
+    for t in range(cfg.trials):
+        seed = cfg.seed + t
+        system = systems.gaussian_system(cfg.m, cfg.n, seed)
+        _, log, snaps = run_walk(system, WalkConfig(
+            seed=seed, steps=cfg.steps, snapshot_every=cfg.snapshot_every))
+        files.append(io.write_snapshots_csv(out / f"sigma_traj_{seed}.csv", snaps))
+        if steps_csv:
+            files.append(io.write_steps_csv(out / f"steps_{seed}.csv", log))
+        health.append((
+            max(snap.residual_inf for snap in snaps),
+            int(log.skipped.sum()),
+            float(-0.5 * np.log1p(-log.c[~log.skipped] ** 2).sum()),
+        ))
+        del log
+        yield seed, snaps
+
+
+def _health_report(health):
+    residual, skipped, log_amp = zip(*health)
+    return {"residual_inf_max": max(residual), "steps_skipped": sum(skipped),
+            "log_amp_max": max(log_amp)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +242,9 @@ def exp_square_walk(cfg):
         raise ValueError(f"ell must lie in [1, {cfg.n}], got {ell}")
     out = _outdir(cfg)
     files = []
-    runs = []
-    for t in range(cfg.trials):
-        seed = cfg.seed + t
-        system = systems.gaussian_system(cfg.m, cfg.n, seed)
-        _, log, snaps = run_walk(system, WalkConfig(
-            seed=seed, steps=cfg.steps, snapshot_every=cfg.snapshot_every))
-        files.append(io.write_snapshots_csv(out / f"sigma_traj_{seed}.csv", snaps))
-        files.append(io.write_steps_csv(out / f"steps_{seed}.csv", log))
-        runs.append(snaps)
+    health = []
+    runs = [snaps for _, snaps in
+            _walk_trials(cfg, out, files, health, steps_csv=True)]
 
     ks = np.array([snap.k for snap in runs[0]], dtype=np.int64)
     sig_ell = np.array([[snap.sigmas[ell - 1] for snap in snaps] for snaps in runs])
@@ -244,11 +257,9 @@ def exp_square_walk(cfg):
         )
     linear = predict_linear(cfg.n, sigma0, ks)
     logistic = predict_logistic(cfg.n, sigma0, ks)
-    files.append(_write_csv(
-        out / "predictions.csv",
-        ["k", "pred_linear", "pred_logistic"],
-        [[str(int(k)), _fmt(a), _fmt(b)] for k, a, b in zip(ks, linear, logistic)],
-    ))
+    files.append(io.write_series_csv(
+        out / "predictions.csv", ["k", "pred_linear", "pred_logistic"],
+        ks, linear, logistic))
 
     report = {
         "experiment": cfg.experiment,
@@ -260,8 +271,7 @@ def exp_square_walk(cfg):
         "pred_logistic_final": float(logistic[-1]),
         "frob_dev_max": max(
             abs(snap.frob_sq - cfg.m) for snaps in runs for snap in snaps),
-        "residual_inf_max": max(
-            snap.residual_inf for snaps in runs for snap in snaps),
+        **_health_report(health),
     }
     files.append(io.write_json(out / "report.json", report))
     return files
@@ -276,14 +286,10 @@ def exp_overdetermined(cfg):
         raise ValueError("overdetermined needs m > n")
     out = _outdir(cfg)
     files = []
+    health = []
     finals = []
     trials = []
-    for t in range(cfg.trials):
-        seed = cfg.seed + t
-        system = systems.gaussian_system(cfg.m, cfg.n, seed)
-        _, _, snaps = run_walk(system, WalkConfig(
-            seed=seed, steps=cfg.steps, snapshot_every=cfg.snapshot_every))
-        files.append(io.write_snapshots_csv(out / f"sigma_traj_{seed}.csv", snaps))
+    for seed, snaps in _walk_trials(cfg, out, files, health):
         finals.append(snaps[-1].sigmas)
         trials.append({
             "seed": seed,
@@ -307,6 +313,7 @@ def exp_overdetermined(cfg):
         "fraction_cond_improved": improved / cfg.trials,
         "sigma_final_min": float(pooled.min()),
         "sigma_final_max": float(pooled.max()),
+        **_health_report(health),
     }
     files.append(io.write_json(out / "report.json", report))
     return files
@@ -321,14 +328,10 @@ def exp_n_plus_one(cfg):
         raise ValueError("n_plus_one needs m == n + 1")
     out = _outdir(cfg)
     files = []
+    health = []
     trials = []
     sqrt2 = float(np.sqrt(2.0))
-    for t in range(cfg.trials):
-        seed = cfg.seed + t
-        system = systems.gaussian_system(cfg.m, cfg.n, seed)
-        _, _, snaps = run_walk(system, WalkConfig(
-            seed=seed, steps=cfg.steps, snapshot_every=cfg.snapshot_every))
-        files.append(io.write_snapshots_csv(out / f"sigma_traj_{seed}.csv", snaps))
+    for seed, snaps in _walk_trials(cfg, out, files, health):
         first, last = snaps[0], snaps[-1]
         trials.append({
             "seed": seed,
@@ -344,6 +347,7 @@ def exp_n_plus_one(cfg):
         "trial_gaps": trials,
         "sigma1_gap_final_max": max(tr["sigma1_gap_final"] for tr in trials),
         "rest_dev_final_max": max(tr["rest_dev_final"] for tr in trials),
+        **_health_report(health),
     }
     files.append(io.write_json(out / "report.json", report))
     return files
@@ -375,11 +379,9 @@ def exp_circle(cfg):
             first_initial = ensemble
         final, samples, skipped = run_circle_walk(
             ensemble, cfg.steps, seed, sample_every=cfg.snapshot_every)
-        files.append(_write_csv(
-            out / f"order4_{seed}.csv",
-            ["k", "order4"],
-            [[str(int(k)), _fmt(r)] for k, r in samples],
-        ))
+        files.append(io.write_series_csv(
+            out / f"order4_{seed}.csv", ["k", "order4"],
+            [k for k, _ in samples], [r for _, r in samples]))
         counts, edges = np.histogram(final.angles, bins=angle_bins,
                                      range=(0.0, TWO_PI))
         centers = 0.5 * (edges[:-1] + edges[1:])

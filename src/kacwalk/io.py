@@ -18,6 +18,7 @@ __all__ = [
     "read_snapshots_csv",
     "write_steps_csv",
     "read_steps_csv",
+    "write_series_csv",
     "write_trace_csv",
     "read_trace_csv",
     "write_density_csv",
@@ -37,29 +38,38 @@ def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _write_rows(path, header, rows):
+    with _open_w(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return Path(path)
+
+
+def _read_rows(path):
+    """(header, body rows) of a CSV written by ``_write_rows``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
 def write_snapshots_csv(path, snapshots):
     """Spectrum trajectory: one row per snapshot,
     ``k, sigma_1, ..., sigma_n, frob_sq``."""
     if not snapshots:
         raise ValueError("need at least one snapshot")
     n = snapshots[0].sigmas.shape[0]
+    if any(snap.sigmas.shape[0] != n for snap in snapshots):
+        raise ValueError("snapshots have inconsistent widths")
     header = ["k"] + [f"sigma_{p}" for p in range(1, n + 1)] + ["frob_sq"]
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for snap in snapshots:
-            if snap.sigmas.shape[0] != n:
-                raise ValueError("snapshots have inconsistent widths")
-            w.writerow([str(snap.k)] + [_fmt(s) for s in snap.sigmas]
-                       + [_fmt(snap.frob_sq)])
-    return Path(path)
+    return _write_rows(path, header, (
+        [str(snap.k)] + [_fmt(s) for s in snap.sigmas] + [_fmt(snap.frob_sq)]
+        for snap in snapshots))
 
 
 def read_snapshots_csv(path):
     """Returns (k, sigmas, frob_sq): int array, (rows, n) array, float array."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
+    header, body = _read_rows(path)
     if header[0] != "k" or header[-1] != "frob_sq":
         raise ValueError(f"unexpected header in {path}")
     ks = np.array([int(r[0]) for r in body], dtype=np.int64)
@@ -70,21 +80,15 @@ def read_snapshots_csv(path):
 
 def write_steps_csv(path, log):
     """Per-step log ``k, i, j, c, skipped`` with skipped as 0/1."""
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "i", "j", "c", "skipped"])
-        for p in range(len(log)):
-            w.writerow([str(int(log.k[p])), str(int(log.i[p])),
-                        str(int(log.j[p])), _fmt(log.c[p]),
-                        str(int(log.skipped[p]))])
-    return Path(path)
+    return _write_rows(path, ["k", "i", "j", "c", "skipped"], (
+        [str(int(log.k[p])), str(int(log.i[p])), str(int(log.j[p])),
+         _fmt(log.c[p]), str(int(log.skipped[p]))]
+        for p in range(len(log))))
 
 
 def read_steps_csv(path):
     """Returns (k, i, j, c, skipped) arrays."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
+    _, body = _read_rows(path)
     k = np.array([int(r[0]) for r in body], dtype=np.int64)
     i = np.array([int(r[1]) for r in body], dtype=np.int64)
     j = np.array([int(r[2]) for r in body], dtype=np.int64)
@@ -93,21 +97,23 @@ def read_steps_csv(path):
     return k, i, j, c, skipped
 
 
+def write_series_csv(path, header, ks, *columns):
+    """Integer index column ``header[0]`` (``ks``) against float columns
+    ``header[1:]``, one row per index."""
+    return _write_rows(path, header, (
+        [str(int(k))] + [_fmt(v) for v in values]
+        for k, *values in zip(ks, *columns)))
+
+
 def write_trace_csv(path, trace):
     """Solver error curve ``iter, error_sq``."""
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "error_sq"])
-        for it, e in zip(trace.iters, trace.error_sq):
-            w.writerow([str(int(it)), _fmt(e)])
-    return Path(path)
+    return write_series_csv(path, ["iter", "error_sq"], trace.iters,
+                            trace.error_sq)
 
 
 def read_trace_csv(path):
     """Returns (iters, error_sq) arrays."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
+    _, body = _read_rows(path)
     iters = np.array([int(r[0]) for r in body], dtype=np.int64)
     err = np.array([float(r[1]) for r in body])
     return iters, err
@@ -116,19 +122,14 @@ def read_trace_csv(path):
 def write_density_csv(path, grid):
     """One density snapshot: single data row ``t, u_0, ..., u_{N-1}``."""
     header = ["t"] + [f"u_{p}" for p in range(grid.N)]
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerow([_fmt(grid.t)] + [_fmt(v) for v in grid.u])
-    return Path(path)
+    return _write_rows(path, header,
+                       [[_fmt(grid.t)] + [_fmt(v) for v in grid.u]])
 
 
 def read_density_csv(path):
     """Returns (t, u)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1]
-    return float(body[0]), np.array([float(v) for v in body[1:]])
+    _, body = _read_rows(path)
+    return float(body[0][0]), np.array([float(v) for v in body[0][1:]])
 
 
 def write_histogram_csv(path, centers, counts):
@@ -137,12 +138,8 @@ def write_histogram_csv(path, centers, counts):
     counts = np.asarray(counts)
     if centers.shape != counts.shape:
         raise ValueError("centers and counts must have matching shapes")
-    with _open_w(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_center", "count"])
-        for c, ct in zip(centers, counts):
-            w.writerow([_fmt(c), str(int(ct))])
-    return Path(path)
+    return _write_rows(path, ["bin_center", "count"], (
+        [_fmt(c), str(int(ct))] for c, ct in zip(centers, counts)))
 
 
 def write_json(path, payload):

@@ -11,10 +11,7 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "as_vector",
-    "matvec",
-    "gram_entry",
     "normalize_rows",
-    "row_norms",
     "frobenius_sq",
     "singular_values",
 ]
@@ -58,32 +55,6 @@ def as_vector(v):
     if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     return x
-
-
-def matvec(A, x):
-    """Product ``A @ x`` with explicit dimension checking."""
-    A = as_matrix(A)
-    x = as_vector(x)
-    if x.shape[0] != A.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: matrix has {A.shape[1]} columns, "
-            f"vector has length {x.shape[0]}"
-        )
-    return A @ x
-
-
-def gram_entry(A, i, j):
-    """Inner product of rows ``i`` and ``j`` of ``A`` as a Python float."""
-    A = as_matrix(A)
-    m = A.shape[0]
-    if not (0 <= i < m and 0 <= j < m):
-        raise IndexError(f"row indices ({i}, {j}) out of range for {m} rows")
-    return float(A[i] @ A[j])
-
-
-def row_norms(A):
-    """Euclidean norm of every row."""
-    return np.linalg.norm(as_matrix(A), axis=1)
 
 
 def normalize_rows(A):

@@ -18,7 +18,6 @@ from kacwalk.walk import LinearSystem, WalkConfig, run_walk
 __all__ = [
     "SolveConfig",
     "SolveTrace",
-    "project_onto_row",
     "kaczmarz_solve",
     "PreconditionReport",
     "precondition_then_solve",
@@ -66,21 +65,6 @@ class SolveTrace:
 
     def __len__(self):
         return self.iters.shape[0]
-
-
-def project_onto_row(y, a, b_i):
-    """Orthogonal projection of y onto the hyperplane <a, w> = b_i."""
-    y = linalg.as_vector(y)
-    a = linalg.as_vector(a)
-    if a.shape[0] != y.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: row has length {a.shape[0]}, "
-            f"point has length {y.shape[0]}"
-        )
-    nsq = float(a @ a)
-    if nsq == 0.0:
-        raise ValueError("cannot project onto a zero row")
-    return y + ((float(b_i) - float(a @ y)) / nsq) * a
 
 
 def kaczmarz_solve(system, x0, config):

@@ -1,8 +1,7 @@
 """Exact one-step gain oracle and closed-form growth predictions.
 
-The oracle enumerates every ordered row pair, applies the update to a
-fresh copy, and averages ||A' x||^2 exactly; no sampling, no Monte Carlo.
-That average provably dominates
+The oracle averages ||A' x||^2 exactly over every ordered row pair, in
+closed form; no sampling, no Monte Carlo. That average provably dominates
 
     ||A x||^2 + 2/(m(m-1)) * (||A x||^2 - ||A^T A x||^2),
 
@@ -13,9 +12,8 @@ one-step growth gives an exponential curve, and keeping the saturation
 term gives a logistic curve that levels off at 1.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +24,6 @@ __all__ = [
     "expected_gain_exact",
     "predict_linear",
     "predict_logistic",
-    "PredictionCurve",
     "logistic_ode_check",
 ]
 
@@ -52,21 +49,19 @@ class GainReport:
     sigma_sum: float
     sigma2_sum: float
 
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
-
 
 def expected_gain_exact(A, x, degenerate_tol=1e-12):
-    """Average ||A' x||^2 over every ordered row pair (i, j).
+    """Average ||A' x||^2 over every ordered row pair (i, j), in closed form.
 
     For each of the m(m-1) ordered pairs the update replaces row i by its
-    component orthogonal to row j, rescaled to unit length, on a fresh
-    copy of A. Runs in O(m^2 n) per pair enumeration, so keep m small
-    (this is an oracle, not a production path).
+    component orthogonal to row j, rescaled to unit length. Only entry i
+    of y = A x changes, to (y_i - c_ij y_j) / sqrt(1 - c_ij^2) with
+    c_ij = <A_i, A_j>, so the pair contributes
+
+        ||y||^2 - y_i^2 + (y_i - c_ij y_j)^2 / (1 - c_ij^2)
+
+    exactly. Summing that over all pairs costs O(m^2 n), dominated by the
+    Gram matrix.
 
     Raises
     ------
@@ -86,38 +81,28 @@ def expected_gain_exact(A, x, degenerate_tol=1e-12):
     if np.abs(norms - 1.0).max() > 1e-8:
         raise ValueError("rows must have unit length")
 
-    G = A @ A.T
+    # Every ordered pair (i, j) with i != j, flattened i-major.
     off = ~np.eye(m, dtype=bool)
-    if (1.0 - G[off] ** 2).min() < degenerate_tol:
+    c = (A @ A.T)[off]
+    rest = 1.0 - c * c
+    if rest.min() < degenerate_tol:
         raise ValueError("some row pair is parallel up to sign")
 
     y = A @ x
     base = float(y @ y)
     w = A.T @ y
-    bound_rhs = base + 2.0 / (m * (m - 1)) * (base - float(w @ w))
+    pairs = m * (m - 1)
+    bound_rhs = base + 2.0 / pairs * (base - float(w @ w))
 
-    total = 0.0
-    sigma_sum = 0.0
-    sigma2_sum = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            c = G[i, j]
-            B = A.copy()
-            B[i] = (A[i] - c * A[j]) / math.sqrt(1.0 - c * c)
-            z = B @ x
-            total += float(z @ z)
-            num_sq = (y[i] - c * y[j]) ** 2
-            sigma_sum += num_sq - y[i] ** 2
-            sigma2_sum += c * c * num_sq
-    expected = total / (m * (m - 1))
+    yi = np.repeat(y, m - 1)
+    yj = np.broadcast_to(y, (m, m))[off]
+    num_sq = (yi - c * yj) ** 2
     return GainReport(
-        expected_norm_sq=expected,
+        expected_norm_sq=float((base - yi * yi + num_sq / rest).sum()) / pairs,
         base_norm_sq=base,
         bound_rhs=bound_rhs,
-        sigma_sum=float(sigma_sum),
-        sigma2_sum=float(sigma2_sum),
+        sigma_sum=float((num_sq - yi * yi).sum()),
+        sigma2_sum=float((c * c * num_sq).sum()),
     )
 
 
@@ -155,28 +140,6 @@ def predict_logistic(n, sigma0, k):
     decay = np.exp(-2.0 * k / (n * (n - 1)))
     out = (1.0 + (1.0 / sigma0**2 - 1.0) * decay) ** -0.5
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class PredictionCurve:
-    """A sampled prediction: values[p] is the curve at steps[p]."""
-
-    kind: str
-    n: int
-    sigma0: float
-    steps: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    _KINDS = ("linear", "logistic")
-
-    @classmethod
-    def evaluate(cls, kind, n, sigma0, steps):
-        if kind not in cls._KINDS:
-            raise ValueError(f"kind must be one of {cls._KINDS}, got {kind!r}")
-        steps = np.asarray(steps, dtype=np.float64)
-        fn = predict_linear if kind == "linear" else predict_logistic
-        return cls(kind=kind, n=n, sigma0=sigma0, steps=steps,
-                   values=fn(n, sigma0, steps))
 
 
 def logistic_ode_check(n, sigma0, t_max, max_rate_step=0.01):

@@ -1,0 +1,51 @@
+"""Guards for names that code outside the package looks up: the
+benchmark under ``perfbench/`` and every ``__all__`` export."""
+
+import importlib
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kacwalk
+from kacwalk import experiments
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_captures_pipeline_walks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    originals = (experiments.run_walk, experiments.run_circle_walk)
+    with workloads.Record().capture() as rec:
+        experiments.run_experiment(experiments.default_config(
+            "square_walk", output_dir=tmp_path / "sq", m=6, n=6, steps=20,
+            snapshot_every=10, trials=2))
+        experiments.run_experiment(experiments.default_config(
+            "circle", output_dir=tmp_path / "circle", m=8, steps=20,
+            snapshot_every=10, trials=1))
+    assert (experiments.run_walk, experiments.run_circle_walk) == originals
+    assert len(rec.walks) == 2 and len(rec.circles) == 1
+    walked, log, snaps = rec.walks[0]
+    assert (walked.m, len(log), [s.k for s in snaps]) == (6, 20, [0, 10, 20])
+
+
+MODULES = ["kacwalk"] + sorted(
+    f"kacwalk.{info.name}" for info in pkgutil.iter_modules(kacwalk.__path__))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__
+               if not hasattr(mod, name)]
+    assert missing == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kacwalk import cli, io
+from kacwalk import cli, experiments, io
 from kacwalk.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -66,7 +66,32 @@ def test_registry_covers_all_pipelines():
 # --------------------------------------------------------------- pipelines
 
 
-def test_square_walk_outputs(tmp_path):
+@pytest.fixture
+def walks(monkeypatch):
+    """Every (system, log, snapshots) the pipelines' run_walk returns."""
+    kept = []
+    real = experiments.run_walk
+
+    def keep(*args, **kwargs):
+        kept.append(real(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(experiments, "run_walk", keep)
+    return kept
+
+
+def assert_walk_health(report, walks, trials):
+    assert len(walks) == trials
+    assert report["residual_inf_max"] == max(
+        snap.residual_inf for _, _, snaps in walks for snap in snaps)
+    assert report["steps_skipped"] == sum(
+        int(log.skipped.sum()) for _, log, _ in walks)
+    assert report["log_amp_max"] == max(
+        float(-0.5 * np.log1p(-log.c[~log.skipped] ** 2).sum())
+        for _, log, _ in walks)
+
+
+def test_square_walk_outputs(tmp_path, walks):
     cfg = default_config("square_walk", output_dir=tmp_path, m=10, n=10,
                          seed=2, steps=60, snapshot_every=20, trials=2)
     files = run_experiment(cfg)
@@ -83,6 +108,8 @@ def test_square_walk_outputs(tmp_path):
     report = io.read_json(tmp_path / "report.json")
     assert report["ell"] == 10
     assert report["residual_inf_max"] < 1e-9
+    assert_walk_health(report, walks, 2)
+    assert report["log_amp_max"] > 0.0
 
 
 def test_square_walk_zero_steps_single_snapshot(tmp_path):
@@ -101,7 +128,7 @@ def test_square_walk_requires_square(tmp_path):
         run_experiment(cfg)
 
 
-def test_overdetermined_outputs(tmp_path):
+def test_overdetermined_outputs(tmp_path, walks):
     cfg = default_config("overdetermined", output_dir=tmp_path, m=20, n=5,
                          seed=0, steps=800, snapshot_every=400, trials=2,
                          extra={"hist_bins": "10"})
@@ -114,9 +141,10 @@ def test_overdetermined_outputs(tmp_path):
     report = io.read_json(tmp_path / "report.json")
     assert len(report["trial_conds"]) == 2
     assert 0.0 <= report["fraction_cond_improved"] <= 1.0
+    assert_walk_health(report, walks, 2)
 
 
-def test_n_plus_one_outputs(tmp_path):
+def test_n_plus_one_outputs(tmp_path, walks):
     cfg = default_config("n_plus_one", output_dir=tmp_path, m=4, n=3,
                          seed=1, steps=3000, snapshot_every=1000, trials=2)
     run_experiment(cfg)
@@ -124,6 +152,7 @@ def test_n_plus_one_outputs(tmp_path):
     # 3000 steps on a 4x3 system is deep in the asymptote
     assert report["sigma1_gap_final_max"] < 1e-6
     assert report["rest_dev_final_max"] < 1e-6
+    assert_walk_health(report, walks, 2)
 
 
 def test_circle_outputs_with_meanfield(tmp_path):
@@ -187,15 +216,30 @@ def test_theorem_audit_rejects_large_shapes(tmp_path):
         run_experiment(cfg)
 
 
-def test_experiment_reruns_are_byte_identical(tmp_path):
+TINY_CONFIGS = {
+    "square_walk": dict(m=8, n=8, steps=40, snapshot_every=20, trials=2),
+    "overdetermined": dict(m=12, n=4, steps=200, snapshot_every=50, trials=2),
+    "n_plus_one": dict(m=5, n=4, steps=400, snapshot_every=100, trials=2),
+    "circle": dict(m=16, steps=300, snapshot_every=100, trials=2,
+                   extra={"meanfield": "true", "grid_n": "16",
+                          "t_end": "0.1"}),
+    "solver_compare": dict(m=8, n=8, steps=100, snapshot_every=50, trials=2,
+                           extra={"max_iters": "300", "budgets": "50"}),
+    "theorem_audit": dict(trials=8),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_experiment_reruns_are_byte_identical(tmp_path, experiment):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        run_experiment(default_config("square_walk", output_dir=out,
-                                      m=8, n=8, steps=40,
-                                      snapshot_every=20, trials=2))
-    for fa in sorted(out_a.iterdir()):
-        fb = out_b / fa.name
-        assert fa.read_bytes() == fb.read_bytes()
+        run_experiment(default_config(experiment, output_dir=out,
+                                      **TINY_CONFIGS[experiment]))
+    names = sorted(f.name for f in out_a.iterdir())
+    assert names == sorted(f.name for f in out_b.iterdir())
+    assert "report.json" in names
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 # --------------------------------------------------------------------- cli

@@ -25,30 +25,6 @@ def test_as_vector_rejects(bad):
         linalg.as_vector(bad)
 
 
-def test_matvec_matches_manual():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((5, 3))
-    x = rng.standard_normal(3)
-    manual = np.array([float(A[i] @ x) for i in range(5)])
-    assert np.allclose(linalg.matvec(A, x), manual, rtol=0, atol=1e-14)
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        linalg.matvec(np.eye(3), np.ones(4))
-
-
-def test_gram_entry_is_row_inner_product():
-    A = np.array([[1.0, 0.0], [0.6, 0.8]])
-    assert linalg.gram_entry(A, 0, 1) == pytest.approx(0.6, abs=1e-15)
-    assert linalg.gram_entry(A, 1, 1) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_gram_entry_range_checked():
-    with pytest.raises(IndexError):
-        linalg.gram_entry(np.eye(2), 0, 2)
-
-
 def test_normalize_rows_unit_norms():
     rng = np.random.default_rng(7)
     A = linalg.normalize_rows(rng.standard_normal((8, 5)))

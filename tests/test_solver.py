@@ -6,28 +6,9 @@ from kacwalk.solver import (
     SolveConfig,
     kaczmarz_solve,
     precondition_then_solve,
-    project_onto_row,
 )
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import LinearSystem
-
-
-def test_project_onto_row_lands_on_hyperplane():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(5)
-    y = rng.standard_normal(5)
-    out = project_onto_row(y, a, 2.5)
-    assert float(a @ out) == pytest.approx(2.5, abs=1e-12)
-    # projecting a point already on the plane is a no-op
-    again = project_onto_row(out, a, 2.5)
-    assert np.abs(again - out).max() < 1e-12
-
-
-def test_project_onto_row_validation():
-    with pytest.raises(ValueError, match="zero row"):
-        project_onto_row(np.ones(3), np.zeros(3), 1.0)
-    with pytest.raises(ValueError, match="dimension"):
-        project_onto_row(np.ones(3), np.ones(4), 1.0)
 
 
 def test_solver_converges_on_orthogonal_system():
