@@ -56,7 +56,6 @@ from kacwalk.walk import (
     LinearSystem,
     SpectrumSnapshot,
     StepLog,
-    StepRecord,
     WalkConfig,
     residual_at_reference,
     run_walk,
@@ -98,7 +97,6 @@ __all__ = [
     "LinearSystem",
     "SpectrumSnapshot",
     "StepLog",
-    "StepRecord",
     "WalkConfig",
     "residual_at_reference",
     "run_walk",

@@ -79,11 +79,12 @@ def read_snapshots_csv(path):
 
 
 def write_steps_csv(path, log):
-    """Per-step log ``k, i, j, c, skipped`` with skipped as 0/1."""
+    """Per-step log ``k, i, j, c, skipped``, k from 1, skipped as 0/1."""
     return _write_rows(path, ["k", "i", "j", "c", "skipped"], (
-        [str(int(log.k[p])), str(int(log.i[p])), str(int(log.j[p])),
-         _fmt(log.c[p]), str(int(log.skipped[p]))]
-        for p in range(len(log))))
+        [str(k), str(i), str(j), _fmt(c), str(int(skipped))]
+        for k, i, j, c, skipped in zip(
+            range(1, len(log) + 1), log.i.tolist(), log.j.tolist(),
+            log.c.tolist(), log.skipped.tolist())))
 
 
 def read_steps_csv(path):

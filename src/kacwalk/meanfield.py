@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kacwalk import linalg
-from kacwalk.walk import sample_pair
+from kacwalk.walk import DEGENERATE_TOL, sample_pair
 
 __all__ = [
     "TWO_PI",
@@ -96,7 +96,7 @@ def _step_angles(theta, i, j, tol):
     return True
 
 
-def circle_step(ensemble, i, j, tol=1e-9):
+def circle_step(ensemble, i, j, tol=math.sqrt(DEGENERATE_TOL)):
     """One walk step in angle form, returned as a new ensemble.
 
     Angle j moves to theta_i + pi/2 when sin(theta_j - theta_i) > 0 and
@@ -115,7 +115,8 @@ def circle_step(ensemble, i, j, tol=1e-9):
     return CircleEnsemble(theta)
 
 
-def run_circle_walk(ensemble, steps, seed, tol=1e-9, sample_every=None):
+def run_circle_walk(ensemble, steps, seed, tol=math.sqrt(DEGENERATE_TOL),
+                    sample_every=None):
     """Drive an ensemble with uniformly sampled ordered pairs.
 
     Returns (final ensemble, samples, skipped) where samples is a list of
@@ -183,10 +184,6 @@ class DensityGrid:
     @property
     def cell_width(self):
         return TWO_PI / self.N
-
-    def grid_points(self):
-        """Cell centers x_p = 2*pi*p/N."""
-        return TWO_PI * np.arange(self.N) / self.N
 
     def mass(self):
         return float(self.u.sum() * self.cell_width)

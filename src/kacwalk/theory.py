@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kacwalk import linalg
+from kacwalk.walk import DEGENERATE_TOL
 
 __all__ = [
     "GainReport",
@@ -50,7 +51,7 @@ class GainReport:
     sigma2_sum: float
 
 
-def expected_gain_exact(A, x, degenerate_tol=1e-12):
+def expected_gain_exact(A, x, degenerate_tol=DEGENERATE_TOL):
     """Average ||A' x||^2 over every ordered row pair (i, j), in closed form.
 
     For each of the m(m-1) ordered pairs the update replaces row i by its

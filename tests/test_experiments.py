@@ -209,11 +209,17 @@ def test_theorem_audit_report(tmp_path):
     assert set(report["per_shape_worst_gap"]) == {"4x4", "6x6", "5x4", "8x3"}
 
 
-def test_theorem_audit_rejects_large_shapes(tmp_path):
+def test_theorem_audit_runs_12x12_and_rejects_bad_shapes(tmp_path):
     cfg = default_config("theorem_audit", output_dir=tmp_path, trials=1,
                          extra={"shapes": "12x12"})
-    with pytest.raises(ValueError, match="m <= 10"):
-        run_experiment(cfg)
+    run_experiment(cfg)
+    report = io.read_json(tmp_path / "report.json")
+    assert report["per_shape_worst_gap"]["12x12"] >= -1e-10
+    for shapes, match in (("1x3", "m >= 2"), ("3x0", "n >= 1")):
+        cfg = default_config("theorem_audit", output_dir=tmp_path, trials=1,
+                             extra={"shapes": shapes})
+        with pytest.raises(ValueError, match=match):
+            run_experiment(cfg)
 
 
 TINY_CONFIGS = {

@@ -31,7 +31,7 @@ def test_steps_round_trip(tmp_path, walk_artifacts):
     log, _ = walk_artifacts
     path = io.write_steps_csv(tmp_path / "steps.csv", log)
     k, i, j, c, skipped = io.read_steps_csv(path)
-    assert np.array_equal(k, log.k)
+    assert np.array_equal(k, np.arange(1, len(log) + 1))
     assert np.array_equal(i, log.i)
     assert np.array_equal(j, log.j)
     assert np.array_equal(c, log.c)

@@ -76,8 +76,8 @@ def test_circle_step_index_validation():
 
 
 def test_circle_step_matches_matrix_walk_step():
-    # The same update expressed in angles and in n x 2 matrix rows;
-    # tolerances matched so both sides skip identical pairs.
+    # The same update expressed in angles and in n x 2 matrix rows; the
+    # default tolerances match, so both sides skip identical pairs.
     rng = np.random.default_rng(99)
     ens = random_circle_ensemble(12, seed=99)
     x = np.array([0.4, -0.9])
@@ -87,9 +87,8 @@ def test_circle_step_matches_matrix_walk_step():
             continue
         A = ens.to_matrix()
         system = LinearSystem(A, A @ x, x)
-        walk_step(system, int(i), int(j),
-                  WalkConfig(seed=0, steps=0, degenerate_tol=1e-12))
-        ens = circle_step(ens, int(i), int(j), tol=1e-6)
+        walk_step(system, int(i), int(j), WalkConfig(seed=0, steps=0))
+        ens = circle_step(ens, int(i), int(j))
         assert np.abs(ens.to_matrix() - system.A).max() < 1e-12
 
 

@@ -26,7 +26,7 @@ def test_oracle_matches_brute_force_single_steps(m, n):
     # pairs with the roles of the two rows exchanged, which gives the
     # same total.
     A, x = random_instance(m, n, 10)
-    cfg = WalkConfig(seed=0, steps=0, renormalize=False)
+    cfg = WalkConfig(seed=0, steps=0)
     total = 0.0
     for i in range(m):
         for j in range(m):

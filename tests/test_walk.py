@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacwalk import linalg
+from kacwalk import io, linalg
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import (
     LinearSystem,
-    StepLog,
-    StepRecord,
     WalkConfig,
     run_walk,
     sample_pair,
@@ -61,9 +59,9 @@ def test_walk_step_known_two_row_update():
     A = np.array([[1.0, 0.0], [np.cos(phi), np.sin(phi)]])
     x = np.array([0.4, -1.1])
     sys0 = LinearSystem(A, A @ x, x)
-    rec = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
-    assert rec.c == pytest.approx(np.cos(phi), abs=1e-15)
-    assert not rec.skipped
+    c, skipped = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
+    assert c == pytest.approx(np.cos(phi), abs=1e-15)
+    assert not skipped
     assert np.abs(sys0.A[1] - np.array([0.0, 1.0])).max() < 1e-14
     # solution preserved exactly
     assert np.abs(sys0.A @ x - sys0.b).max() < 1e-14
@@ -72,8 +70,8 @@ def test_walk_step_known_two_row_update():
 def test_walk_step_records_pre_update_inner_product():
     sys0 = make_system(5, 4, 2)
     before = float(sys0.A[1] @ sys0.A[3])
-    rec = walk_step(sys0, 1, 3, WalkConfig(seed=0, steps=0))
-    assert rec.c == before
+    c, _ = walk_step(sys0, 1, 3, WalkConfig(seed=0, steps=0))
+    assert c == before
     after = float(sys0.A[1] @ sys0.A[3])
     assert abs(after) < 1e-12  # rows now orthogonal
 
@@ -82,9 +80,9 @@ def test_walk_step_skips_degenerate_pair():
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([2.0, 2.0, -1.0])
     sys0 = LinearSystem(A, b, np.array([2.0, -1.0]))
-    rec = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
-    assert rec.skipped
-    assert abs(rec.c) <= 1.0
+    c, skipped = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
+    assert skipped
+    assert abs(c) <= 1.0
     assert np.array_equal(sys0.A, A)
     assert np.array_equal(sys0.b, b)
 
@@ -93,9 +91,9 @@ def test_walk_step_clamps_recorded_c_for_nearly_parallel_rows():
     v = np.array([1.0, 1e-9])
     A = np.vstack([[1.0, 0.0], v / np.linalg.norm(v)])
     sys0 = LinearSystem(A, np.zeros(2), np.zeros(2))
-    rec = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
-    assert rec.skipped
-    assert abs(rec.c) <= 1.0
+    c, skipped = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
+    assert skipped
+    assert abs(c) <= 1.0
 
 
 def test_walk_step_rejects_equal_and_out_of_range_indices():
@@ -121,8 +119,8 @@ def test_tall_system_keeps_row_invariants():
     # directions, so correlated pairs keep appearing and each applied
     # update divides by sqrt(1 - c^2).  Those factors compound and amplify
     # rounding noise in b (see walk_step), so only the row-level invariants
-    # are checked here; right-hand-side fidelity over long tall runs needs
-    # a coarser degenerate_tol.
+    # are checked here. A coarser degenerate_tol does not restore b over
+    # long tall runs; it only changes how far the residual grows.
     sys0 = make_system(8, 5, 3)
     final, _, snaps = run_walk(sys0, WalkConfig(seed=9, steps=500))
     assert np.abs(np.linalg.norm(final.A, axis=1) - 1.0).max() < 1e-12
@@ -161,7 +159,6 @@ def test_run_walk_snapshot_schedule():
     _, log, snaps = run_walk(sys0, WalkConfig(seed=1, steps=25, snapshot_every=10))
     assert [s.k for s in snaps] == [0, 10, 20, 25]
     assert len(log) == 25
-    assert list(log.k[:3]) == [1, 2, 3]
 
 
 def test_run_walk_default_snapshot_stride_is_n():
@@ -245,17 +242,39 @@ def test_sample_pair_uniform_over_ordered_pairs():
 # ------------------------------------------------------------------- logs
 
 
-def test_step_log_indexing():
-    log = StepLog(3)
-    log._store(0, StepRecord(1, 0, 1, 0.5, False))
-    log._store(1, StepRecord(2, 2, 0, -0.25, False))
-    log._store(2, StepRecord(3, 1, 2, 1.0, True))
-    assert log[0].c == 0.5
-    assert log[-1].skipped
-    assert [r.k for r in log] == [1, 2, 3]
-    assert [r.i for r in log[1:]] == [2, 1]
-    with pytest.raises(IndexError):
-        log[3]
+def _duplicated_row_system():
+    # 6x4 with row 4 a copy of row 1, so the pair starts out degenerate;
+    # later on the tall system's rows pile up and more pairs get skipped.
+    sys0 = make_system(6, 4, 12)
+    A = sys0.A.copy()
+    A[4] = A[1]
+    return LinearSystem(A, A @ sys0.x_ref, sys0.x_ref)
+
+
+@pytest.mark.parametrize("system,steps,skips", [
+    (make_system(8, 8, 13), 300, False),
+    (_duplicated_row_system(), 400, True),
+], ids=["8x8", "6x4-duplicated-row"])
+def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
+                                                  skips):
+    # run_walk must be exactly sample_pair + walk_step applied in order
+    # on one generator; a faster engine gets checked against this replay.
+    cfg = WalkConfig(seed=21, steps=steps, snapshot_every=steps)
+    final, log, _ = run_walk(system, cfg)
+    ref = system.copy()
+    rng = np.random.default_rng(cfg.seed)
+    pairs = [sample_pair(rng, ref.m) for _ in range(steps)]
+    i, j = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    c, skipped = zip(*(walk_step(ref, p, q, cfg) for p, q in pairs))
+    assert np.array_equal(log.i, i)
+    assert np.array_equal(log.j, j)
+    assert np.array_equal(log.c, np.array(c))
+    assert np.array_equal(log.skipped, np.array(skipped))
+    assert np.array_equal(final.A, ref.A)
+    assert np.array_equal(final.b, ref.b)
+    assert log.skipped.any() == skips
+    k = io.read_steps_csv(io.write_steps_csv(tmp_path / "steps.csv", log))[0]
+    assert np.array_equal(k, np.arange(1, steps + 1))
 
 
 def test_config_validation():
