@@ -4,7 +4,8 @@ Each experiment consumes an ExperimentConfig, runs a deterministic
 pipeline, writes CSV/JSON artifacts into the configured output directory,
 and returns the written paths. Reporting knobs with no mathematical
 content (histogram bin counts, iteration budgets, extra walk budgets)
-live in the config's ``extra`` table as strings.
+live in the config's ``extra`` table as strings; EXTRAS names the keys
+each pipeline reads, and any other key is rejected.
 
 Config files are flat ``key = value`` text: the canonical keys are
 experiment, m, n, seed, steps, snapshot_every, output_dir, and trials;
@@ -59,13 +60,24 @@ DEFAULTS = {
                           snapshot_every=1, trials=200),
 }
 
+# The ``extra`` keys each pipeline reads (see its docstring).
+EXTRAS = {
+    "square_walk": ("ell",),
+    "overdetermined": ("hist_bins",),
+    "n_plus_one": (),
+    "circle": ("angle_bins", "meanfield", "grid_n", "t_end", "dt"),
+    "solver_compare": ("max_iters", "target_residual", "budgets",
+                       "max_sigma_min"),
+    "theorem_audit": ("shapes",),
+}
+
 
 @dataclass
 class ExperimentConfig:
     """Fully resolved settings for one experiment run.
 
     seed is the base seed: trial t uses seed + t throughout. extra holds
-    experiment-specific string options (see each pipeline's docstring).
+    experiment-specific string options, only the keys EXTRAS lists.
     """
 
     experiment: str
@@ -89,6 +101,12 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+        unknown = sorted(set(self.extra) - set(EXTRAS[self.experiment]))
+        if unknown:
+            raise ValueError(
+                f"{self.experiment} reads no extra key {unknown[0]!r}; "
+                f"allowed: {', '.join(EXTRAS[self.experiment]) or 'none'}"
+            )
 
 
 def default_config(experiment, output_dir=".", **overrides):
@@ -126,21 +144,10 @@ def parse_config(text):
     if "experiment" not in raw:
         raise ValueError("config must name an experiment")
     experiment = raw.pop("experiment")
-    if experiment not in DEFAULTS:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; choose from {sorted(DEFAULTS)}"
-        )
-    fields = dict(DEFAULTS[experiment])
-    fields["output_dir"] = "."
-    extra = {}
-    for key, value in raw.items():
-        if key in _INT_FIELDS:
-            fields[key] = int(value)
-        elif key == "output_dir":
-            fields[key] = value
-        else:
-            extra[key] = value
-    return ExperimentConfig(experiment=experiment, extra=extra, **fields)
+    fields = {key: int(value) if key in _INT_FIELDS else value
+              for key, value in raw.items() if key in _CANONICAL}
+    extra = {key: value for key, value in raw.items() if key not in _CANONICAL}
+    return default_config(experiment, extra=extra, **fields)
 
 
 def write_config(path, cfg):

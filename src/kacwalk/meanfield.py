@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, sample_pair
+from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, sample_pair
 
 __all__ = [
     "TWO_PI",
@@ -47,6 +47,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 UNIFORM_DENSITY = 1.0 / TWO_PI
+
+# The degenerate-pair test in angle form: for unit 2-vectors
+# 1 - c^2 = sin^2(theta_j - theta_i).
+SIN_TOL = math.sqrt(DEGENERATE_TOL)
 
 # Guards applied after every integrator step.
 BLOWUP_LIMIT = 1e6
@@ -78,32 +82,28 @@ class CircleEnsemble:
         if A.shape[1] != 2:
             raise ValueError(f"expected 2 columns, got {A.shape[1]}")
         norms = np.linalg.norm(A, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
+        if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
             raise ValueError("rows must have unit length")
         return cls(np.arctan2(A[:, 1], A[:, 0]))
 
 
-def _step_angles(theta, i, j, tol):
-    """In-place angle update; returns False when the pair is skipped.
-
-    Skips when |sin(theta_j - theta_i)| < tol, the angle-space image of
-    the degenerate (parallel up to sign) pair test: for unit 2-vectors
-    1 - c^2 = sin^2(theta_j - theta_i)."""
+def _step_angles(theta, i, j):
+    """In-place angle update; returns False when the pair is skipped
+    (|sin(theta_j - theta_i)| < SIN_TOL)."""
     s = math.sin(theta[j] - theta[i])
-    if abs(s) < tol:
+    if abs(s) < SIN_TOL:
         return False
     theta[j] = (theta[i] + math.copysign(0.5 * math.pi, s)) % TWO_PI
     return True
 
 
-def circle_step(ensemble, i, j, tol=math.sqrt(DEGENERATE_TOL)):
+def circle_step(ensemble, i, j):
     """One walk step in angle form, returned as a new ensemble.
 
     Angle j moves to theta_i + pi/2 when sin(theta_j - theta_i) > 0 and
     to theta_i - pi/2 when it is negative: exactly perpendicular to
     angle i, on the side it already occupies. Matches walk_step on the
-    corresponding n x 2 matrix (tol here plays the role of
-    sqrt(degenerate_tol) there).
+    corresponding n x 2 matrix, skipped pairs included.
     """
     if i == j:
         raise ValueError("need two distinct angles")
@@ -111,12 +111,11 @@ def circle_step(ensemble, i, j, tol=math.sqrt(DEGENERATE_TOL)):
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"indices ({i}, {j}) out of range for {n} angles")
     theta = ensemble.angles.copy()
-    _step_angles(theta, i, j, tol)
+    _step_angles(theta, i, j)
     return CircleEnsemble(theta)
 
 
-def run_circle_walk(ensemble, steps, seed, tol=math.sqrt(DEGENERATE_TOL),
-                    sample_every=None):
+def run_circle_walk(ensemble, steps, seed, sample_every=None):
     """Drive an ensemble with uniformly sampled ordered pairs.
 
     Returns (final ensemble, samples, skipped) where samples is a list of
@@ -135,7 +134,7 @@ def run_circle_walk(ensemble, steps, seed, tol=math.sqrt(DEGENERATE_TOL),
     skipped = 0
     for k in range(1, steps + 1):
         i, j = sample_pair(rng, n)
-        if not _step_angles(theta, i, j, tol):
+        if not _step_angles(theta, i, j):
             skipped += 1
         if (sample_every is not None and k % sample_every == 0) or k == steps:
             samples.append((k, _order4(theta)))
@@ -255,11 +254,25 @@ def _rk4_step(u, N, dt):
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _guarded_advance(u, N, dt, nsteps, mass0, on_step=None):
-    """RK4 steps with blow-up / negativity / mass-drift guards."""
-    h = TWO_PI / N
+def _rk4_path(grid, t_end, dt):
+    """Yield (t, u) after each RK4 substep from grid to absolute time t_end.
+
+    The substeps are the fewest equal ones of size at most dt that cover
+    the interval. After each, the density is checked for blow-up,
+    negativity and drift from grid's mass."""
+    if not 0.0 < dt <= 0.01:
+        raise ValueError(f"dt must lie in (0, 0.01], got {dt}")
+    duration = t_end - grid.t
+    if duration < 0.0:
+        raise ValueError(f"t_end {t_end} is before the grid time {grid.t}")
+    if duration == 0.0:
+        return
+    nsteps = max(1, math.ceil(duration / dt - 1e-9))
+    step = duration / nsteps
+    u, N, h = grid.u, grid.N, grid.cell_width
+    mass0 = float(u.sum() * h)
     for s in range(1, nsteps + 1):
-        u = _rk4_step(u, N, dt)
+        u = _rk4_step(u, N, step)
         if float(np.abs(u).max()) > BLOWUP_LIMIT:
             raise FloatingPointError(
                 f"density blow-up at step {s} (max |u| > {BLOWUP_LIMIT:g})"
@@ -276,9 +289,7 @@ def _guarded_advance(u, N, dt, nsteps, mass0, on_step=None):
             raise FloatingPointError(
                 f"mass drift {drift:.3e} at step {s} exceeds {MASS_DRIFT_LIMIT:g}"
             )
-        if on_step is not None:
-            on_step(s, u)
-    return u
+        yield grid.t + s * step, u
 
 
 def meanfield_integrate(grid, t_end, dt):
@@ -291,18 +302,14 @@ def meanfield_integrate(grid, t_end, dt):
     negative, or leaks mass beyond 1e-6 (negative undershoot below 1e-12
     is clamped to zero).
     """
-    if not 0.0 < dt <= 0.01:
-        raise ValueError(f"dt must lie in (0, 0.01], got {dt}")
-    duration = t_end - grid.t
-    if duration < 0.0:
-        raise ValueError(f"t_end {t_end} is before the grid time {grid.t}")
-    if duration == 0.0:
-        return DensityGrid(grid.u.copy(), t=grid.t)
-    nsteps = max(1, math.ceil(duration / dt - 1e-9))
     u = grid.u.copy()
-    mass0 = float(u.sum() * grid.cell_width)
-    u = _guarded_advance(u, grid.N, duration / nsteps, nsteps, mass0)
+    for _, u in _rk4_path(grid, t_end, dt):
+        pass
     return DensityGrid(u, t=t_end)
+
+
+def _amplitude(u, mode):
+    return float(2.0 * abs(np.fft.rfft(u)[mode]) / u.shape[0])
 
 
 def mode_amplitude(grid, mode):
@@ -310,53 +317,28 @@ def mode_amplitude(grid, mode):
     normalized so cosine_grid(N, k, a) has mode-k amplitude a."""
     if not 1 <= mode < grid.N // 2:
         raise ValueError(f"mode must lie in [1, {grid.N // 2}), got {mode}")
-    return float(2.0 * abs(np.fft.rfft(grid.u)[mode]) / grid.N)
+    return _amplitude(grid.u, mode)
 
 
-def fourier_decay_rate(grid0, mode, t_end, dt, skip_fraction=0.05):
+def fourier_decay_rate(grid0, mode, t_end, dt):
     """Fitted exponential decay rate of one Fourier mode.
 
-    Integrates from grid0 to t_end, records the mode amplitude after
-    every step, and least-squares fits log(amplitude) against time,
-    discarding the first skip_fraction of the samples. Returns the
-    negated slope, so a positive result means the mode decays.
+    Integrates from grid0 to t_end on meanfield_integrate's substeps,
+    records the mode amplitude after every step, and least-squares fits
+    log(amplitude) against time, discarding the first 5% of the samples.
+    Returns the negated slope, so a positive result means the mode decays.
 
     Meant for the linear regime: grid0 must sit within 0.02 of uniform
     (about a tenth of its height), and the fit errors out if the
     amplitude ever drops below 1e-15 (nothing left to fit).
     """
-    if not 0.0 < dt <= 0.01:
-        raise ValueError(f"dt must lie in (0, 0.01], got {dt}")
-    if not 0.0 <= skip_fraction < 1.0:
-        raise ValueError(f"skip_fraction must lie in [0, 1), got {skip_fraction}")
     if float(np.abs(grid0.u - UNIFORM_DENSITY).max()) > 0.02:
         raise ValueError("grid0 must be within 0.02 of the uniform density")
-    duration = t_end - grid0.t
-    if duration <= 0.0:
+    if not t_end > grid0.t:
         raise ValueError("t_end must exceed the grid time")
-    if not 1 <= mode < grid0.N // 2:
-        raise ValueError(f"mode must lie in [1, {grid0.N // 2}), got {mode}")
-
-    nsteps = int(math.ceil(duration / dt - 1e-12))
-    step_dt = duration / nsteps
-    N = grid0.N
-    times = np.empty(nsteps + 1)
-    amps = np.empty(nsteps + 1)
-    times[0] = grid0.t
-    amps[0] = 2.0 * abs(np.fft.rfft(grid0.u)[mode]) / N
-
-    def record(s, u):
-        times[s] = grid0.t + s * step_dt
-        amps[s] = 2.0 * abs(np.fft.rfft(u)[mode]) / N
-
-    mass0 = float(grid0.u.sum() * grid0.cell_width)
-    _guarded_advance(grid0.u.copy(), N, step_dt, nsteps, mass0, on_step=record)
-
-    cut = int(skip_fraction * (nsteps + 1))
-    t_fit = times[cut:]
-    a_fit = amps[cut:]
-    if t_fit.shape[0] < 2:
-        raise ValueError("not enough samples left after skip_fraction")
+    samples = [(grid0.t, mode_amplitude(grid0, mode))]
+    samples += [(t, _amplitude(u, mode)) for t, u in _rk4_path(grid0, t_end, dt)]
+    t_fit, a_fit = np.array(samples[int(0.05 * len(samples)):]).T
     if float(a_fit.min()) < 1e-15:
         raise ValueError(
             "mode amplitude fell below 1e-15; the log fit is degenerate"

@@ -133,20 +133,19 @@ class PreconditionReport:
     preconditioned: LinearSystem = field(repr=False)
 
 
-def precondition_then_solve(system, walk_steps, config, walk_seed=None):
+def precondition_then_solve(system, walk_steps, config):
     """Run the walk for walk_steps updates, then solve both the original
     and the walked system from zero with identical solver settings.
 
     The system must carry a reference solution (both traces measure
-    ||x_k - x_ref||^2, and the walk preserves x_ref). walk_seed defaults
-    to config.seed.
+    ||x_k - x_ref||^2, and the walk preserves x_ref). The walk is seeded
+    with config.seed.
     """
     if system.x_ref is None:
         raise ValueError("precondition_then_solve needs a reference solution")
     if walk_steps < 0:
         raise ValueError(f"walk_steps must be >= 0, got {walk_steps}")
-    seed = config.seed if walk_seed is None else walk_seed
-    wcfg = WalkConfig(seed=seed, steps=walk_steps,
+    wcfg = WalkConfig(seed=config.seed, steps=walk_steps,
                       snapshot_every=max(1, walk_steps))
     walked, _, snaps = run_walk(system, wcfg)
     x0 = np.zeros(system.n)

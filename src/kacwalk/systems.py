@@ -18,28 +18,31 @@ __all__ = [
 ]
 
 _MAX_DRAWS = 100
+# Draws with a smaller sigma_min are numerically rank-deficient.
+MIN_SIGMA = 1e-10
 
 
-def gaussian_system(m, n, seed, min_sigma=1e-10, max_sigma_min=None):
+def gaussian_system(m, n, seed, max_sigma_min=None):
     """Row-normalized standard Gaussian system with a known solution.
 
     Entries are drawn N(0, 1), rows are normalized, and b = A @ x_ref for
     a Gaussian x_ref drawn from the same stream. Draws whose smallest
-    singular value falls below min_sigma are rejected and redrawn (they
-    are numerically rank-deficient and the walk's progress measure is
-    meaningless there). Setting max_sigma_min additionally rejects draws
-    that are too well conditioned, which is how the experiments pick
-    genuinely ill-conditioned instances.
+    singular value falls below MIN_SIGMA are rejected and redrawn (the
+    walk's progress measure is meaningless there). Setting max_sigma_min
+    additionally rejects draws that are too well conditioned, which is
+    how the experiments pick genuinely ill-conditioned instances.
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
-    if max_sigma_min is not None and max_sigma_min <= min_sigma:
-        raise ValueError("max_sigma_min must exceed min_sigma")
+    if m < n:  # every wide draw has sigma_min 0 < MIN_SIGMA
+        raise ValueError(f"need m >= n, got {m}x{n}")
+    if max_sigma_min is not None and max_sigma_min <= MIN_SIGMA:
+        raise ValueError(f"max_sigma_min must exceed {MIN_SIGMA:g}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         A = linalg.normalize_rows(rng.standard_normal((m, n)))
         smallest = float(linalg.singular_values(A)[-1])
-        if smallest < min_sigma:
+        if smallest < MIN_SIGMA:
             continue
         if max_sigma_min is not None and smallest > max_sigma_min:
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL
+from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL
 
 __all__ = [
     "GainReport",
@@ -51,7 +51,7 @@ class GainReport:
     sigma2_sum: float
 
 
-def expected_gain_exact(A, x, degenerate_tol=DEGENERATE_TOL):
+def expected_gain_exact(A, x):
     """Average ||A' x||^2 over every ordered row pair (i, j), in closed form.
 
     For each of the m(m-1) ordered pairs the update replaces row i by its
@@ -68,7 +68,7 @@ def expected_gain_exact(A, x, degenerate_tol=DEGENERATE_TOL):
     ------
     ValueError
         If rows are not unit length, dimensions mismatch, or some pair is
-        degenerate (1 - c^2 < degenerate_tol), where the update itself is
+        degenerate (1 - c^2 < DEGENERATE_TOL), where the update itself is
         undefined.
     """
     A = linalg.as_matrix(A)
@@ -79,14 +79,14 @@ def expected_gain_exact(A, x, degenerate_tol=DEGENERATE_TOL):
     if x.shape[0] != n:
         raise ValueError(f"x has length {x.shape[0]}, expected {n}")
     norms = np.linalg.norm(A, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-8:
+    if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
         raise ValueError("rows must have unit length")
 
     # Every ordered pair (i, j) with i != j, flattened i-major.
     off = ~np.eye(m, dtype=bool)
     c = (A @ A.T)[off]
     rest = 1.0 - c * c
-    if rest.min() < degenerate_tol:
+    if rest.min() < DEGENERATE_TOL:
         raise ValueError("some row pair is parallel up to sign")
 
     y = A @ x
@@ -143,13 +143,13 @@ def predict_logistic(n, sigma0, k):
     return float(out) if out.ndim == 0 else out
 
 
-def logistic_ode_check(n, sigma0, t_max, max_rate_step=0.01):
+def logistic_ode_check(n, sigma0, t_max):
     """Max gap between an RK4 integration of y' = 2/(n(n-1)) (y - y^2)
     and the closed form behind :func:`predict_logistic`, over [0, t_max].
 
-    The step size is chosen so rate * h <= max_rate_step; a classical
-    fourth-order integrator at that resolution should agree to ~1e-10,
-    so any visible gap means the closed form is wrong.
+    The step size is chosen so rate * h <= 0.01 (at least 100 steps); a
+    classical fourth-order integrator at that resolution should agree to
+    ~1e-10, so any visible gap means the closed form is wrong.
     """
     _check_prediction_args(n, sigma0)
     if sigma0 > 1.0:
@@ -157,7 +157,7 @@ def logistic_ode_check(n, sigma0, t_max, max_rate_step=0.01):
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     rate = 2.0 / (n * (n - 1))
-    nsteps = max(100, math.ceil(t_max * rate / max_rate_step))
+    nsteps = max(100, math.ceil(t_max * rate / 0.01))
     h = t_max / nsteps
     y = sigma0 * sigma0
     c0 = 1.0 / (sigma0 * sigma0) - 1.0

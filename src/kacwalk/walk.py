@@ -102,23 +102,17 @@ class WalkConfig:
     """Knobs for a walk run.
 
     seed drives the pair sampling; steps is the total number of updates;
-    degenerate_tol skips pairs with 1 - c^2 below it (rows parallel up to
-    sign, where the rescaling would divide by ~0); snapshot_every sets the
-    spectrum sampling stride (None means one snapshot per n steps).
+    snapshot_every sets the spectrum sampling stride (None means one
+    snapshot per n steps).
     """
 
     seed: int
     steps: int
-    degenerate_tol: float = DEGENERATE_TOL
     snapshot_every: int | None = None
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if not (0.0 < self.degenerate_tol < 1.0):
-            raise ValueError(
-                f"degenerate_tol must lie in (0, 1), got {self.degenerate_tol}"
-            )
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
@@ -173,7 +167,7 @@ def sample_pair(rng, m):
     return i, j
 
 
-def walk_step(system, i, j, config):
+def walk_step(system, i, j):
     """Apply one update in place and return ``(c, skipped)``.
 
     With c = <A_i, A_j> read once before any write, row j becomes
@@ -181,8 +175,8 @@ def walk_step(system, i, j, config):
     (b_j - c b_i) / sqrt(1 - c^2), which keeps any solution of the system
     a solution; row j is then re-unitized (b_j with it) so rounding drift
     in its length cannot compound. Pairs whose 1 - c^2 falls below
-    config.degenerate_tol are left untouched and returned as skipped,
-    with c clamped to [-1, 1].
+    DEGENERATE_TOL are left untouched and returned as skipped, with c
+    clamped to [-1, 1].
 
     The 1 / sqrt(1 - c^2) factor also amplifies whatever rounding error b
     already carries, and those factors compound across steps. Square
@@ -191,9 +185,10 @@ def walk_step(system, i, j, config):
     orthogonal (more rows than dimensions), so the walk keeps drawing
     correlated pairs forever and the residual at x_ref grows by many
     orders of magnitude even though every step is exact in real
-    arithmetic. A larger degenerate_tol only changes how far (31x30, seed
-    0, 100k steps: 4.5e91 at 1e-12, 0.14 at 1e-2); watch residual_inf and
-    the amplification sum -1/2 log(1 - c^2) (log_amp_max) instead.
+    arithmetic. A larger DEGENERATE_TOL would only change how far (31x30,
+    seed 0, 100k steps: 4.5e91 at 1e-12, 0.14 at 1e-2); watch
+    residual_inf and the amplification sum -1/2 log(1 - c^2)
+    (log_amp_max) instead.
     """
     m = system.m
     if i == j:
@@ -203,7 +198,7 @@ def walk_step(system, i, j, config):
     A, b = system.A, system.b
     c = float(A[i] @ A[j])
     rest = 1.0 - c * c
-    if rest < config.degenerate_tol:
+    if rest < DEGENERATE_TOL:
         # Rounding can push |c| a hair past 1 here; clamp for the record.
         return max(-1.0, min(1.0, c)), True
     scale = math.sqrt(rest)
@@ -257,7 +252,7 @@ def run_walk(system, config):
         i, j = sample_pair(rng, work.m)
         log.i[k - 1] = i
         log.j[k - 1] = j
-        log.c[k - 1], log.skipped[k - 1] = walk_step(work, i, j, config)
+        log.c[k - 1], log.skipped[k - 1] = walk_step(work, i, j)
         if k % every == 0 or k == config.steps:
             snapshots.append(take_snapshot(work, k))
     return work, log, snapshots

@@ -199,12 +199,11 @@ def test_08_circle_and_matrix_walks_agree_for_1000_steps():
     A = ens.to_matrix()
     x = np.array([0.3, -0.7])
     system = LinearSystem(A, A @ x, x)
-    cfg = WalkConfig(seed=0, steps=0, degenerate_tol=1e-12)
     worst = 0.0
     for _ in range(1000):
         i, j = sample_pair(rng, 40)
-        ens = circle_step(ens, i, j, tol=1e-6)
-        walk_step(system, i, j, cfg)
+        ens = circle_step(ens, i, j)
+        walk_step(system, i, j)
         worst = max(worst, float(np.abs(ens.to_matrix() - system.A).max()))
     _line(8, worst <= 1e-12,
           f"worst entrywise gap over 1000 paired steps {worst:.2e} (<= 1e-12)")

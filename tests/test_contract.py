@@ -1,7 +1,8 @@
 """Guards for names that code outside the package looks up: the
-benchmark under ``perfbench/`` and every ``__all__`` export."""
+benchmark under ``perfbench/``, the demos and every ``__all__`` export."""
 
 import importlib
+import importlib.util
 import pkgutil
 import subprocess
 import sys
@@ -49,3 +50,14 @@ def test_every_export_resolves(module):
     missing = [name for name in mod.__all__
                if not hasattr(mod, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_imports_resolve(path):
+    # Each demo's main() sits behind ``__name__ == "__main__"``, so loading
+    # it runs only its imports: every kacwalk name it uses must resolve.
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert callable(demo.main)

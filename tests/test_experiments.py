@@ -4,6 +4,7 @@ import pytest
 from kacwalk import cli, experiments, io
 from kacwalk.experiments import (
     EXPERIMENTS,
+    EXTRAS,
     ExperimentConfig,
     default_config,
     emit_config,
@@ -53,6 +54,8 @@ def test_config_validation():
         default_config("square_walk", steps=-5)
     with pytest.raises(ValueError):
         default_config("hyperdrive")
+    with pytest.raises(ValueError, match="allowed: none"):
+        default_config("n_plus_one", extra={"ell": "3"})
     # steps = 0 is legal: a single-snapshot run
     assert default_config("square_walk", steps=0).steps == 0
 
@@ -248,6 +251,31 @@ def test_experiment_reruns_are_byte_identical(tmp_path, experiment):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+class _ReadKeys(dict):
+    """An extras table that remembers which keys were looked up."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_pipelines_read_exactly_their_declared_extras(tmp_path, experiment):
+    cfg = default_config(experiment, output_dir=tmp_path,
+                         **TINY_CONFIGS[experiment])
+    cfg.extra = _ReadKeys(cfg.extra)
+    run_experiment(cfg)
+    assert cfg.extra.read == set(EXTRAS[experiment])
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -277,6 +305,21 @@ def test_cli_extra_flag(tmp_path, capsys):
     capsys.readouterr()
     report = io.read_json(tmp_path / "report.json")
     assert report["shapes"] == ["3x3"]
+
+
+@pytest.mark.parametrize("argv,typo", [
+    (["circle", "--trials", "1", "--steps", "5", "-x", "meanfeild=true"],
+     "meanfeild"),
+    (["theorem_audit", "--trials", "2", "-x", "shape=3x3"], "shape"),
+], ids=["circle-meanfeild", "theorem_audit-shape"])
+def test_cli_rejects_extras_the_experiment_does_not_read(tmp_path, capsys,
+                                                         argv, typo):
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kkw: error:") and err.count("\n") == 1
+    assert repr(typo) in err and "allowed:" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kacwalk import meanfield
 from kacwalk.meanfield import (
     TWO_PI,
     UNIFORM_DENSITY,
@@ -17,7 +18,7 @@ from kacwalk.meanfield import (
     uniform_grid,
 )
 from kacwalk.systems import random_circle_ensemble
-from kacwalk.walk import LinearSystem, WalkConfig, walk_step
+from kacwalk.walk import LinearSystem, walk_step
 
 QUARTER = 0.5 * np.pi
 
@@ -77,7 +78,7 @@ def test_circle_step_index_validation():
 
 def test_circle_step_matches_matrix_walk_step():
     # The same update expressed in angles and in n x 2 matrix rows; the
-    # default tolerances match, so both sides skip identical pairs.
+    # tolerances match, so both sides skip identical pairs.
     rng = np.random.default_rng(99)
     ens = random_circle_ensemble(12, seed=99)
     x = np.array([0.4, -0.9])
@@ -87,7 +88,7 @@ def test_circle_step_matches_matrix_walk_step():
             continue
         A = ens.to_matrix()
         system = LinearSystem(A, A @ x, x)
-        walk_step(system, int(i), int(j), WalkConfig(seed=0, steps=0))
+        walk_step(system, int(i), int(j))
         ens = circle_step(ens, int(i), int(j))
         assert np.abs(ens.to_matrix() - system.A).max() < 1e-12
 
@@ -237,6 +238,24 @@ def test_decay_of_amplitude_matches_rate():
     out = meanfield_integrate(g, 2.0, 0.005)
     assert mode_amplitude(out, 1) == pytest.approx(1e-3 * np.exp(-2.0),
                                                    rel=1e-8)
+
+
+def test_integrate_and_decay_fit_take_the_same_substeps(monkeypatch):
+    # t_end lies 5e-12 past a whole number of dt steps; both integrations
+    # must split it by the one substep rule.
+    steps = []
+    rk4_step = meanfield._rk4_step
+
+    def counted(u, N, dt):
+        steps.append(dt)
+        return rk4_step(u, N, dt)
+
+    monkeypatch.setattr(meanfield, "_rk4_step", counted)
+    g = cosine_grid(32, 1, 1e-3)
+    meanfield_integrate(g, 1.0 + 5e-12, 0.01)
+    integrated = list(steps)
+    fourier_decay_rate(g, 1, 1.0 + 5e-12, 0.01)
+    assert steps[len(integrated):] == integrated
 
 
 def test_fourier_decay_rate_validation():

@@ -128,11 +128,11 @@ def test_precondition_improves_conditioning_and_convergence():
         assert rep.trace_pre.iters[-1] <= rep.trace_raw.iters[-1]
 
 
-def test_precondition_walk_seed_changes_walk_not_solver():
+def test_precondition_walk_steps_change_walk_not_solver():
     sys0 = gaussian_system(8, 8, seed=9)
     cfg = SolveConfig(seed=11, max_iters=200, target_residual=1e-12,
                       record_every=50)
-    rep_a = precondition_then_solve(sys0, 100, cfg, walk_seed=1)
-    rep_b = precondition_then_solve(sys0, 100, cfg, walk_seed=2)
+    rep_a = precondition_then_solve(sys0, 100, cfg)
+    rep_b = precondition_then_solve(sys0, 200, cfg)
     assert not np.array_equal(rep_a.preconditioned.A, rep_b.preconditioned.A)
     assert np.array_equal(rep_a.trace_raw.error_sq, rep_b.trace_raw.error_sq)

@@ -35,7 +35,11 @@ def test_gaussian_system_validation():
     with pytest.raises(ValueError):
         gaussian_system(1, 3, seed=0)
     with pytest.raises(ValueError):
-        gaussian_system(4, 3, seed=0, min_sigma=1e-2, max_sigma_min=1e-3)
+        gaussian_system(4, 3, seed=0, max_sigma_min=1e-11)
+    # m < n pads sigma_min with an exact 0, so no draw could ever pass:
+    # refuse before drawing instead of after 100 rejected draws.
+    with pytest.raises(ValueError, match="m >= n"):
+        gaussian_system(10, 20, seed=0)
 
 
 def test_gaussian_system_unsatisfiable_cap_errors():

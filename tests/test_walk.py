@@ -59,7 +59,7 @@ def test_walk_step_known_two_row_update():
     A = np.array([[1.0, 0.0], [np.cos(phi), np.sin(phi)]])
     x = np.array([0.4, -1.1])
     sys0 = LinearSystem(A, A @ x, x)
-    c, skipped = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
+    c, skipped = walk_step(sys0, 0, 1)
     assert c == pytest.approx(np.cos(phi), abs=1e-15)
     assert not skipped
     assert np.abs(sys0.A[1] - np.array([0.0, 1.0])).max() < 1e-14
@@ -70,7 +70,7 @@ def test_walk_step_known_two_row_update():
 def test_walk_step_records_pre_update_inner_product():
     sys0 = make_system(5, 4, 2)
     before = float(sys0.A[1] @ sys0.A[3])
-    c, _ = walk_step(sys0, 1, 3, WalkConfig(seed=0, steps=0))
+    c, _ = walk_step(sys0, 1, 3)
     assert c == before
     after = float(sys0.A[1] @ sys0.A[3])
     assert abs(after) < 1e-12  # rows now orthogonal
@@ -80,7 +80,7 @@ def test_walk_step_skips_degenerate_pair():
     A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     b = np.array([2.0, 2.0, -1.0])
     sys0 = LinearSystem(A, b, np.array([2.0, -1.0]))
-    c, skipped = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
+    c, skipped = walk_step(sys0, 0, 1)
     assert skipped
     assert abs(c) <= 1.0
     assert np.array_equal(sys0.A, A)
@@ -91,18 +91,17 @@ def test_walk_step_clamps_recorded_c_for_nearly_parallel_rows():
     v = np.array([1.0, 1e-9])
     A = np.vstack([[1.0, 0.0], v / np.linalg.norm(v)])
     sys0 = LinearSystem(A, np.zeros(2), np.zeros(2))
-    c, skipped = walk_step(sys0, 0, 1, WalkConfig(seed=0, steps=0))
+    c, skipped = walk_step(sys0, 0, 1)
     assert skipped
     assert abs(c) <= 1.0
 
 
 def test_walk_step_rejects_equal_and_out_of_range_indices():
     sys0 = make_system(3, 2, 1)
-    cfg = WalkConfig(seed=0, steps=0)
     with pytest.raises(ValueError):
-        walk_step(sys0, 1, 1, cfg)
+        walk_step(sys0, 1, 1)
     with pytest.raises(IndexError):
-        walk_step(sys0, 0, 3, cfg)
+        walk_step(sys0, 0, 3)
 
 
 def test_walk_preserves_solution_and_frobenius_norm():
@@ -119,7 +118,7 @@ def test_tall_system_keeps_row_invariants():
     # directions, so correlated pairs keep appearing and each applied
     # update divides by sqrt(1 - c^2).  Those factors compound and amplify
     # rounding noise in b (see walk_step), so only the row-level invariants
-    # are checked here. A coarser degenerate_tol does not restore b over
+    # are checked here. A coarser DEGENERATE_TOL would not restore b over
     # long tall runs; it only changes how far the residual grows.
     sys0 = make_system(8, 5, 3)
     final, _, snaps = run_walk(sys0, WalkConfig(seed=9, steps=500))
@@ -265,7 +264,7 @@ def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
     rng = np.random.default_rng(cfg.seed)
     pairs = [sample_pair(rng, ref.m) for _ in range(steps)]
     i, j = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-    c, skipped = zip(*(walk_step(ref, p, q, cfg) for p, q in pairs))
+    c, skipped = zip(*(walk_step(ref, p, q) for p, q in pairs))
     assert np.array_equal(log.i, i)
     assert np.array_equal(log.j, j)
     assert np.array_equal(log.c, np.array(c))
@@ -280,8 +279,6 @@ def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
 def test_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(seed=0, steps=-1)
-    with pytest.raises(ValueError):
-        WalkConfig(seed=0, steps=1, degenerate_tol=0.0)
     with pytest.raises(ValueError):
         WalkConfig(seed=0, steps=1, snapshot_every=0)
 
