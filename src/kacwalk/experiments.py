@@ -1,11 +1,14 @@
 """Named, seeded experiment pipelines behind the ``kkw`` command.
 
-Each experiment consumes an ExperimentConfig, runs a deterministic
-pipeline, writes CSV/JSON artifacts into the configured output directory,
-and returns the written paths. Reporting knobs with no mathematical
-content (histogram bin counts, iteration budgets, extra walk budgets)
-live in the config's ``extra`` table as strings; EXTRAS names the keys
-each pipeline reads, and any other key is rejected.
+Each experiment consumes an ExperimentConfig and runs a deterministic
+pipeline. run_experiment creates the configured output directory, the
+pipeline writes its CSV artifacts there and returns its report, and
+run_experiment writes that as ``report.json`` and returns the written
+paths. The few experiment-specific options live in the config's
+``extra`` table as strings: EXTRAS declares each key an experiment reads
+with its parser and default, and building a config rejects any other
+key, or a value its parser refuses. Histogram bins, the mean-field grid
+and the solver's target residual are the fixed constants below.
 
 Config files are flat ``key = value`` text: the canonical keys are
 experiment, m, n, seed, steps, snapshot_every, output_dir, and trials;
@@ -60,15 +63,55 @@ DEFAULTS = {
                           snapshot_every=1, trials=200),
 }
 
-# The ``extra`` keys each pipeline reads (see its docstring).
+# Fixed settings; the reports echo the ones with numerical content.
+HIST_BINS = 20        # overdetermined: final singular value histogram
+ANGLE_BINS = 64       # circle: final angle histogram per trial
+GRID_N, T_END, DT = 256, 2.0, 0.005  # circle: mean-field grid and RK4
+TARGET_RESIDUAL = 1e-6  # solver_compare: Kaczmarz stopping residual
+
+
+def _flag(text):
+    lowered = str(text).strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected true or false")
+
+
+def _budgets(text):
+    return tuple(int(v) for v in str(text).split(",") if v.strip())
+
+
+def _shapes(text):
+    shapes = []
+    for token in str(text).split(","):
+        token = token.strip()
+        if not token:
+            continue
+        left, x, right = token.partition("x")
+        if not x:
+            raise ValueError(f"expected MxN, got {token!r}")
+        shapes.append((int(left), int(right)))
+    if not shapes:
+        raise ValueError("no shapes given")
+    for m, n in shapes:
+        if m < 2:
+            raise ValueError(f"audit shapes need m >= 2 (a row pair), got {m}")
+        if n < 1:
+            raise ValueError(f"audit shapes need n >= 1, got {n}")
+    return tuple(shapes)
+
+
+# The ``extra`` keys each pipeline reads (see its docstring): key ->
+# (parser, default). ell's default None means n.
 EXTRAS = {
-    "square_walk": ("ell",),
-    "overdetermined": ("hist_bins",),
-    "n_plus_one": (),
-    "circle": ("angle_bins", "meanfield", "grid_n", "t_end", "dt"),
-    "solver_compare": ("max_iters", "target_residual", "budgets",
-                       "max_sigma_min"),
-    "theorem_audit": ("shapes",),
+    "square_walk": {"ell": (int, None)},
+    "overdetermined": {},
+    "n_plus_one": {},
+    "circle": {"meanfield": (_flag, False)},
+    "solver_compare": {"max_iters": (int, 25000), "budgets": (_budgets, ())},
+    "theorem_audit": {"shapes": (_shapes, ((4, 4), (6, 6), (5, 4), (8, 3)))},
 }
 
 
@@ -77,7 +120,8 @@ class ExperimentConfig:
     """Fully resolved settings for one experiment run.
 
     seed is the base seed: trial t uses seed + t throughout. extra holds
-    experiment-specific string options, only the keys EXTRAS lists.
+    experiment-specific string options: only the keys EXTRAS lists, each
+    with a value its parser accepts.
     """
 
     experiment: str
@@ -101,12 +145,18 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        unknown = sorted(set(self.extra) - set(EXTRAS[self.experiment]))
-        if unknown:
-            raise ValueError(
-                f"{self.experiment} reads no extra key {unknown[0]!r}; "
-                f"allowed: {', '.join(EXTRAS[self.experiment]) or 'none'}"
-            )
+        allowed = EXTRAS[self.experiment]
+        for key in sorted(self.extra):
+            if key not in allowed:
+                raise ValueError(
+                    f"{self.experiment} reads no extra key {key!r}; "
+                    f"allowed: {', '.join(allowed) or 'none'}"
+                )
+            try:
+                allowed[key][0](self.extra[key])
+            except ValueError as exc:
+                raise ValueError(
+                    f"extra {key}={self.extra[key]!r}: {exc}") from None
 
 
 def default_config(experiment, output_dir=".", **overrides):
@@ -163,34 +213,11 @@ def read_config(path):
 # small shared helpers
 
 
-def _outdir(cfg):
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _extra_int(cfg, key, default):
-    return int(cfg.extra.get(key, default))
-
-
-def _extra_float(cfg, key, default):
-    return float(cfg.extra.get(key, default))
-
-
-def _extra_bool(cfg, key, default=False):
+def _extra(cfg, key):
+    """The parsed value of extra ``key``, or its declared default."""
+    parse, default = EXTRAS[cfg.experiment][key]
     value = cfg.extra.get(key)
-    if value is None:
-        return default
-    lowered = str(value).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"extra key {key!r} must be boolean-like, got {value!r}")
-
-
-def _fname_num(x):
-    return f"{float(x):g}"
+    return default if value is None else parse(value)
 
 
 def _cond(sigmas):
@@ -237,18 +264,17 @@ def _health_report(health):
 # pipelines
 
 
-def exp_square_walk(cfg):
+def exp_square_walk(cfg, out, files):
     """Square-system spectrum trajectories with both prediction curves.
 
     The curves are evaluated for singular value index ``ell`` (extra key,
     default n, i.e. the smallest)."""
     if cfg.m != cfg.n:
         raise ValueError("square_walk needs m == n")
-    ell = _extra_int(cfg, "ell", cfg.n)
+    ell = _extra(cfg, "ell")
+    ell = cfg.n if ell is None else ell
     if not 1 <= ell <= cfg.n:
         raise ValueError(f"ell must lie in [1, {cfg.n}], got {ell}")
-    out = _outdir(cfg)
-    files = []
     health = []
     runs = [snaps for _, snaps in
             _walk_trials(cfg, out, files, health, steps_csv=True)]
@@ -268,8 +294,7 @@ def exp_square_walk(cfg):
         out / "predictions.csv", ["k", "pred_linear", "pred_logistic"],
         ks, linear, logistic))
 
-    report = {
-        "experiment": cfg.experiment,
+    return {
         "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
         "ell": ell,
         "sigma0_median": sigma0,
@@ -280,19 +305,15 @@ def exp_square_walk(cfg):
             abs(snap.frob_sq - cfg.m) for snaps in runs for snap in snaps),
         **_health_report(health),
     }
-    files.append(io.write_json(out / "report.json", report))
-    return files
 
 
-def exp_overdetermined(cfg):
+def exp_overdetermined(cfg, out, files):
     """Tall-system spectrum trajectories, final histogram, conditioning.
 
-    The histogram pools final singular values over all trials (extra key
-    hist_bins, default 20); condition numbers are reported per trial."""
+    The histogram pools final singular values over all trials into 20
+    bins; condition numbers are reported per trial."""
     if cfg.m <= cfg.n:
         raise ValueError("overdetermined needs m > n")
-    out = _outdir(cfg)
-    files = []
     health = []
     finals = []
     trials = []
@@ -305,16 +326,14 @@ def exp_overdetermined(cfg):
         })
 
     pooled = np.concatenate(finals)
-    bins = _extra_int(cfg, "hist_bins", 20)
-    counts, edges = np.histogram(pooled, bins=bins,
+    counts, edges = np.histogram(pooled, bins=HIST_BINS,
                                  range=(0.0, float(pooled.max()) * 1.001))
     centers = 0.5 * (edges[:-1] + edges[1:])
     files.append(io.write_histogram_csv(out / "hist_final_sigmas.csv",
                                         centers, counts))
 
     improved = sum(1 for tr in trials if tr["cond_final"] < tr["cond_initial"])
-    report = {
-        "experiment": cfg.experiment,
+    return {
         "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
         "trial_conds": trials,
         "fraction_cond_improved": improved / cfg.trials,
@@ -322,19 +341,15 @@ def exp_overdetermined(cfg):
         "sigma_final_max": float(pooled.max()),
         **_health_report(health),
     }
-    files.append(io.write_json(out / "report.json", report))
-    return files
 
 
-def exp_n_plus_one(cfg):
+def exp_n_plus_one(cfg, out, files):
     """Near-square (m = n + 1) systems approaching the sqrt(2) spectrum.
 
     Tracks how the top singular value approaches sqrt(2) while all the
     others settle at 1."""
     if cfg.m != cfg.n + 1:
         raise ValueError("n_plus_one needs m == n + 1")
-    out = _outdir(cfg)
-    files = []
     health = []
     trials = []
     sqrt2 = float(np.sqrt(2.0))
@@ -348,48 +363,36 @@ def exp_n_plus_one(cfg):
             "rest_dev_final": float(np.abs(last.sigmas[1:] - 1.0).max()),
             "frob_dev_final": abs(last.frob_sq - cfg.m),
         })
-    report = {
-        "experiment": cfg.experiment,
+    return {
         "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
         "trial_gaps": trials,
         "sigma1_gap_final_max": max(tr["sigma1_gap_final"] for tr in trials),
         "rest_dev_final_max": max(tr["rest_dev_final"] for tr in trials),
         **_health_report(health),
     }
-    files.append(io.write_json(out / "report.json", report))
-    return files
 
 
-def exp_circle(cfg):
+def exp_circle(cfg, out, files):
     """Two-column walk as circle dynamics with order-parameter traces.
 
-    Also writes a final angle histogram per trial (extra key angle_bins,
-    default 64).
+    Also writes a 64-bin final angle histogram per trial.
 
-    With ``meanfield = true`` in extras, also integrates the density
-    equation from the matched initial histogram of the first trial
-    (grid_n, t_end, dt extras; defaults 256, 2.0, 0.005) and writes
-    density snapshots at the start and end times."""
+    With extra key ``meanfield`` true (default false), also integrates
+    the density equation on a 256-cell grid from the initial histogram
+    of the first trial to t = 2 (RK4, dt = 0.005) and writes density
+    snapshots at the start and end times."""
     if cfg.n != 2:
         raise ValueError("circle is the two-column case; set n = 2")
-    if cfg.m < 2:
-        raise ValueError("need at least two angles")
-    out = _outdir(cfg)
-    angle_bins = _extra_int(cfg, "angle_bins", 64)
-    files = []
     trials = []
-    first_initial = None
     for t in range(cfg.trials):
         seed = cfg.seed + t
         ensemble = systems.random_circle_ensemble(cfg.m, seed)
-        if first_initial is None:
-            first_initial = ensemble
         final, samples, skipped = run_circle_walk(
             ensemble, cfg.steps, seed, sample_every=cfg.snapshot_every)
         files.append(io.write_series_csv(
             out / f"order4_{seed}.csv", ["k", "order4"],
             [k for k, _ in samples], [r for _, r in samples]))
-        counts, edges = np.histogram(final.angles, bins=angle_bins,
+        counts, edges = np.histogram(final.angles, bins=ANGLE_BINS,
                                      range=(0.0, TWO_PI))
         centers = 0.5 * (edges[:-1] + edges[1:])
         files.append(io.write_histogram_csv(out / f"angles_{seed}.csv",
@@ -402,7 +405,6 @@ def exp_circle(cfg):
         })
 
     report = {
-        "experiment": cfg.experiment,
         "particles": cfg.m, "steps": cfg.steps, "trials": cfg.trials,
         "trial_order4": trials,
         "order4_initial_median": float(np.median(
@@ -411,49 +413,36 @@ def exp_circle(cfg):
             [tr["order4_final"] for tr in trials])),
     }
 
-    if _extra_bool(cfg, "meanfield", False):
-        grid_n = _extra_int(cfg, "grid_n", 256)
-        t_end = _extra_float(cfg, "t_end", 2.0)
-        dt = _extra_float(cfg, "dt", 0.005)
-        counts, _ = np.histogram(first_initial.angles, bins=grid_n,
+    if _extra(cfg, "meanfield"):
+        initial = systems.random_circle_ensemble(cfg.m, cfg.seed)
+        counts, _ = np.histogram(initial.angles, bins=GRID_N,
                                  range=(0.0, TWO_PI))
-        h = TWO_PI / grid_n
-        grid = DensityGrid(counts / (cfg.m * h), t=0.0)
-        files.append(io.write_density_csv(
-            out / f"density_{_fname_num(0.0)}.csv", grid))
-        evolved = meanfield_integrate(grid, t_end, dt)
-        files.append(io.write_density_csv(
-            out / f"density_{_fname_num(t_end)}.csv", evolved))
-        report["meanfield"] = {"grid_n": grid_n, "t_end": t_end, "dt": dt,
+        grid = DensityGrid(counts / (cfg.m * TWO_PI / GRID_N), t=0.0)
+        files.append(io.write_density_csv(out / "density_0.csv", grid))
+        evolved = meanfield_integrate(grid, T_END, DT)
+        files.append(io.write_density_csv(out / f"density_{T_END:g}.csv",
+                                          evolved))
+        report["meanfield"] = {"grid_n": GRID_N, "t_end": T_END, "dt": DT,
                                "final_mass": evolved.mass()}
-
-    files.append(io.write_json(out / "report.json", report))
-    return files
+    return report
 
 
-def exp_solver_compare(cfg):
+def exp_solver_compare(cfg, out, files):
     """Solver error traces on raw versus walked systems.
 
-    cfg.steps is the walk budget for the canonical comparison; extras:
-    max_iters (default 25000), target_residual (default 1e-6), budgets
-    (comma-separated extra walk budgets, each written with a _b<budget>
-    suffix), max_sigma_min (reject better-conditioned draws).
+    cfg.steps is the walk budget for the canonical comparison; each solve
+    runs to residual 1e-6. Extras: max_iters (iteration cap per solve,
+    default 25000) and budgets (comma-separated extra walk budgets, each
+    written with a _b<budget> suffix; default none).
     """
-    out = _outdir(cfg)
-    max_iters = _extra_int(cfg, "max_iters", 25000)
-    target = _extra_float(cfg, "target_residual", 1e-6)
-    cap = cfg.extra.get("max_sigma_min")
-    cap = float(cap) if cap is not None else None
-    budgets = []
-    if cfg.extra.get("budgets"):
-        budgets = [int(v) for v in str(cfg.extra["budgets"]).split(",") if v.strip()]
-    files = []
+    max_iters = _extra(cfg, "max_iters")
+    budgets = _extra(cfg, "budgets")
     trials = []
     for t in range(cfg.trials):
         seed = cfg.seed + t
-        system = systems.gaussian_system(cfg.m, cfg.n, seed, max_sigma_min=cap)
+        system = systems.gaussian_system(cfg.m, cfg.n, seed)
         scfg = SolveConfig(seed=seed, max_iters=max_iters,
-                           target_residual=target,
+                           target_residual=TARGET_RESIDUAL,
                            record_every=cfg.snapshot_every)
         rep = precondition_then_solve(system, cfg.steps, scfg)
         files.append(io.write_trace_csv(out / f"solve_raw_{seed}.csv",
@@ -479,45 +468,30 @@ def exp_solver_compare(cfg):
             entry["iters_pre"][str(budget)] = _iters_to_target(trace)
         trials.append(entry)
 
-    report = {
-        "experiment": cfg.experiment,
+    return {
         "m": cfg.m, "n": cfg.n, "walk_steps": cfg.steps,
         "trials": cfg.trials, "max_iters": max_iters,
-        "target_residual": target,
+        "target_residual": TARGET_RESIDUAL,
         "trial_results": trials,
     }
-    files.append(io.write_json(out / "report.json", report))
-    return files
 
 
-def _parse_shapes(text):
-    shapes = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        left, _, right = token.partition("x")
-        shapes.append((int(left), int(right)))
-    if not shapes:
-        raise ValueError("no shapes given")
-    for m, n in shapes:
-        if m < 2:
-            raise ValueError(f"audit shapes need m >= 2 (a row pair), got {m}")
-        if n < 1:
-            raise ValueError(f"audit shapes need n >= 1, got {n}")
-    return shapes
-
-
-def exp_theorem_audit(cfg):
+def exp_theorem_audit(cfg, out, files):
     """Exact expansion audit over random small instances.
 
     Runs cfg.trials instances cycling through the shapes in the
-    ``shapes`` extra (default ``4x4,6x6,5x4,8x3``), each from its own
-    seeded draw, and reports the worst and mean gap between the exact
-    expected gain and the bound it must dominate, plus the same for the
-    refined pair-sum bound."""
-    shapes = _parse_shapes(cfg.extra.get("shapes", "4x4,6x6,5x4,8x3"))
-    out = _outdir(cfg)
+    ``shapes`` extra (comma-separated MxN, default ``4x4,6x6,5x4,8x3``),
+    each from its own seeded draw, and reports the worst and mean gap
+    between the exact expected gain and the bound it must dominate, plus
+    the same for the refined pair-sum bound. The instance shapes come
+    from ``shapes`` alone: m, n, steps and snapshot_every must keep their
+    defaults."""
+    ignored = [name for name in ("m", "n", "steps", "snapshot_every")
+               if getattr(cfg, name) != DEFAULTS["theorem_audit"][name]]
+    if ignored:
+        raise ValueError(f"theorem_audit does not read {', '.join(ignored)}; "
+                         f"set instance shapes with -x shapes=MxN")
+    shapes = _extra(cfg, "shapes")
     gaps = []
     refined_gaps = []
     sigma2_min = np.inf
@@ -536,8 +510,7 @@ def exp_theorem_audit(cfg):
         gaps.append(gap)
         per_shape[f"{m}x{n}"].append(gap)
 
-    report = {
-        "experiment": cfg.experiment,
+    return {
         "instances": cfg.trials,
         "shapes": [f"{m}x{n}" for m, n in shapes],
         "worst_gap": float(min(gaps)),
@@ -546,7 +519,6 @@ def exp_theorem_audit(cfg):
         "sigma2_sum_min": float(sigma2_min),
         "per_shape_worst_gap": {k: float(min(v)) for k, v in per_shape.items() if v},
     }
-    return [io.write_json(out / "report.json", report)]
 
 
 EXPERIMENTS = {
@@ -560,5 +532,13 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg):
-    """Dispatch to the named pipeline; returns the written paths."""
-    return EXPERIMENTS[cfg.experiment](cfg)
+    """Run the named pipeline in cfg.output_dir (created if missing) and
+    write its report as ``report.json``; returns the written paths,
+    report.json last."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+    report = EXPERIMENTS[cfg.experiment](cfg, out, files)
+    report["experiment"] = cfg.experiment
+    files.append(io.write_json(out / "report.json", report))
+    return files

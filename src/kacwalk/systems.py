@@ -22,29 +22,23 @@ _MAX_DRAWS = 100
 MIN_SIGMA = 1e-10
 
 
-def gaussian_system(m, n, seed, max_sigma_min=None):
+def gaussian_system(m, n, seed):
     """Row-normalized standard Gaussian system with a known solution.
 
     Entries are drawn N(0, 1), rows are normalized, and b = A @ x_ref for
     a Gaussian x_ref drawn from the same stream. Draws whose smallest
     singular value falls below MIN_SIGMA are rejected and redrawn (the
-    walk's progress measure is meaningless there). Setting max_sigma_min
-    additionally rejects draws that are too well conditioned, which is
-    how the experiments pick genuinely ill-conditioned instances.
+    walk's progress measure is meaningless there).
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
     if m < n:  # every wide draw has sigma_min 0 < MIN_SIGMA
         raise ValueError(f"need m >= n, got {m}x{n}")
-    if max_sigma_min is not None and max_sigma_min <= MIN_SIGMA:
-        raise ValueError(f"max_sigma_min must exceed {MIN_SIGMA:g}")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         A = linalg.normalize_rows(rng.standard_normal((m, n)))
         smallest = float(linalg.singular_values(A)[-1])
         if smallest < MIN_SIGMA:
-            continue
-        if max_sigma_min is not None and smallest > max_sigma_min:
             continue
         x_ref = rng.standard_normal(n)
         return LinearSystem(A, A @ x_ref, x_ref)

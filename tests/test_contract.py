@@ -52,12 +52,25 @@ def test_every_export_resolves(module):
     assert missing == []
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
-                         ids=lambda path: path.stem)
-def test_demo_imports_resolve(path):
+def _load_demo(path):
     # Each demo's main() sits behind ``__name__ == "__main__"``, so loading
-    # it runs only its imports: every kacwalk name it uses must resolve.
+    # it runs only its imports.
     spec = importlib.util.spec_from_file_location(path.stem, path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
-    assert callable(demo.main)
+    return demo
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_imports_resolve(path):
+    # every kacwalk name the demo uses must resolve
+    assert callable(_load_demo(path).main)
+
+
+def test_cli_demo_runs(monkeypatch, capsys):
+    # The one demo that drives kkw with an -x extra, end to end; its
+    # subprocess finds kacwalk through PYTHONPATH.
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    _load_demo(ROOT / "demos" / "demo_cli_experiment.py").main()
+    assert "the run wrote 8 files:" in capsys.readouterr().out

@@ -28,14 +28,14 @@ def test_parse_config_comments_defaults_and_extras():
     experiment = circle
 
     m = 30
-    angle_bins = 8
+    meanfield = true
     """
     cfg = parse_config(text)
     assert cfg.experiment == "circle"
     assert cfg.m == 30
     assert cfg.n == 2  # defaulted
     assert cfg.steps == 100000  # defaulted
-    assert cfg.extra == {"angle_bins": "8"}
+    assert cfg.extra == {"meanfield": "true"}
 
 
 def test_parse_config_errors():
@@ -133,14 +133,13 @@ def test_square_walk_requires_square(tmp_path):
 
 def test_overdetermined_outputs(tmp_path, walks):
     cfg = default_config("overdetermined", output_dir=tmp_path, m=20, n=5,
-                         seed=0, steps=800, snapshot_every=400, trials=2,
-                         extra={"hist_bins": "10"})
+                         seed=0, steps=800, snapshot_every=400, trials=2)
     files = run_experiment(cfg)
     names = {f.name for f in files}
     assert "hist_final_sigmas.csv" in names
     hist = (tmp_path / "hist_final_sigmas.csv").read_text().splitlines()
     assert hist[0] == "bin_center,count"
-    assert len(hist) == 11
+    assert len(hist) == 21  # 20 bins plus header
     report = io.read_json(tmp_path / "report.json")
     assert len(report["trial_conds"]) == 2
     assert 0.0 <= report["fraction_cond_improved"] <= 1.0
@@ -161,16 +160,15 @@ def test_n_plus_one_outputs(tmp_path, walks):
 def test_circle_outputs_with_meanfield(tmp_path):
     cfg = default_config("circle", output_dir=tmp_path, m=24, seed=4,
                          steps=1500, snapshot_every=500, trials=2,
-                         extra={"meanfield": "true", "grid_n": "32",
-                                "t_end": "0.25", "angle_bins": "8"})
+                         extra={"meanfield": "true"})
     files = run_experiment(cfg)
     names = {f.name for f in files}
     assert {"order4_4.csv", "order4_5.csv", "angles_4.csv", "angles_5.csv",
-            "density_0.csv", "density_0.25.csv", "report.json"} <= names
+            "density_0.csv", "density_2.csv", "report.json"} <= names
     t0, u0 = io.read_density_csv(tmp_path / "density_0.csv")
-    t1, u1 = io.read_density_csv(tmp_path / "density_0.25.csv")
-    assert (t0, t1) == (0.0, 0.25)
-    assert u0.shape == u1.shape == (32,)
+    t1, u1 = io.read_density_csv(tmp_path / "density_2.csv")
+    assert (t0, t1) == (0.0, 2.0)
+    assert u0.shape == u1.shape == (256,)
     trace = (tmp_path / "order4_4.csv").read_text().splitlines()
     assert trace[0] == "k,order4"
     assert len(trace) == 5  # k = 0, 500, 1000, 1500 plus header
@@ -186,9 +184,7 @@ def test_circle_requires_two_columns(tmp_path):
 def test_solver_compare_outputs(tmp_path):
     cfg = default_config("solver_compare", output_dir=tmp_path, m=12, n=12,
                          seed=7, steps=400, snapshot_every=100, trials=1,
-                         extra={"max_iters": "600",
-                                "target_residual": "1e-8",
-                                "budgets": "100"})
+                         extra={"max_iters": "600", "budgets": "100"})
     files = run_experiment(cfg)
     names = {f.name for f in files}
     assert {"solve_raw_7.csv", "solve_pre_7.csv", "solve_pre_7_b100.csv",
@@ -219,10 +215,9 @@ def test_theorem_audit_runs_12x12_and_rejects_bad_shapes(tmp_path):
     report = io.read_json(tmp_path / "report.json")
     assert report["per_shape_worst_gap"]["12x12"] >= -1e-10
     for shapes, match in (("1x3", "m >= 2"), ("3x0", "n >= 1")):
-        cfg = default_config("theorem_audit", output_dir=tmp_path, trials=1,
-                             extra={"shapes": shapes})
         with pytest.raises(ValueError, match=match):
-            run_experiment(cfg)
+            default_config("theorem_audit", output_dir=tmp_path, trials=1,
+                           extra={"shapes": shapes})
 
 
 TINY_CONFIGS = {
@@ -230,8 +225,7 @@ TINY_CONFIGS = {
     "overdetermined": dict(m=12, n=4, steps=200, snapshot_every=50, trials=2),
     "n_plus_one": dict(m=5, n=4, steps=400, snapshot_every=100, trials=2),
     "circle": dict(m=16, steps=300, snapshot_every=100, trials=2,
-                   extra={"meanfield": "true", "grid_n": "16",
-                          "t_end": "0.1"}),
+                   extra={"meanfield": "true"}),
     "solver_compare": dict(m=8, n=8, steps=100, snapshot_every=50, trials=2,
                            extra={"max_iters": "300", "budgets": "50"}),
     "theorem_audit": dict(trials=8),
@@ -311,7 +305,9 @@ def test_cli_extra_flag(tmp_path, capsys):
     (["circle", "--trials", "1", "--steps", "5", "-x", "meanfeild=true"],
      "meanfeild"),
     (["theorem_audit", "--trials", "2", "-x", "shape=3x3"], "shape"),
-], ids=["circle-meanfeild", "theorem_audit-shape"])
+    (["circle", "--trials", "1", "--steps", "5", "-x", "grid_n=abc"],
+     "grid_n"),
+], ids=["circle-meanfeild", "theorem_audit-shape", "circle-grid_n"])
 def test_cli_rejects_extras_the_experiment_does_not_read(tmp_path, capsys,
                                                          argv, typo):
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
@@ -320,6 +316,31 @@ def test_cli_rejects_extras_the_experiment_does_not_read(tmp_path, capsys,
     assert err.startswith("kkw: error:") and err.count("\n") == 1
     assert repr(typo) in err and "allowed:" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["circle", "-x", "meanfield=maybe"], "meanfield='maybe'"),
+    (["solver_compare", "-x", "budgets=5,x"], "budgets='5,x'"),
+    (["solver_compare", "-x", "max_iters=many"], "max_iters='many'"),
+    (["theorem_audit", "-x", "shapes=3"], "shapes='3'"),
+], ids=["meanfield", "budgets", "max_iters", "shapes"])
+def test_cli_rejects_bad_extra_values_before_any_work(tmp_path, capsys,
+                                                      argv, bad):
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kkw: error: extra {bad}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
+    code = cli.main(["theorem_audit", "--m", "12", "--n", "12", "--steps",
+                     "500", "--trials", "4", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "m, n, steps" in err and "-x shapes=MxN" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):
