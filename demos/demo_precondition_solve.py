@@ -9,7 +9,13 @@ solves the same system raw and preconditioned and compares the traces.
 
 import numpy as np
 
-from kacwalk import SolveConfig, gaussian_system, precondition_then_solve
+from kacwalk import (
+    SolveConfig,
+    WalkConfig,
+    gaussian_system,
+    kaczmarz_solve,
+    run_walk,
+)
 
 N = 80
 WALK_STEPS = 16000
@@ -26,21 +32,24 @@ def main():
     config = SolveConfig(
         seed=SEED, max_iters=400_000, target_residual=1e-8, record_every=500
     )
-    report = precondition_then_solve(system, WALK_STEPS, config)
+    walked, _, snaps = run_walk(system, WalkConfig(
+        seed=SEED, steps=WALK_STEPS, snapshot_every=WALK_STEPS))
+    _, trace_raw = kaczmarz_solve(system, np.zeros(N), config)
+    _, trace_pre = kaczmarz_solve(walked, np.zeros(N), config)
 
     print(f"kaczmarz on {N}x{N}, walk budget {WALK_STEPS}, seed {SEED}")
-    print(f"sigma_min before walk: {report.sigma_min_before:.5f}")
-    print(f"sigma_min after walk:  {report.sigma_min_after:.5f}")
+    print(f"sigma_min before walk: {snaps[0].sigmas[-1]:.5f}")
+    print(f"sigma_min after walk:  {snaps[-1].sigmas[-1]:.5f}")
 
     for level in (1e-2, 1e-6, 1e-10):
-        raw = iters_to(report.trace_raw, level)
-        pre = iters_to(report.trace_pre, level)
+        raw = iters_to(trace_raw, level)
+        pre = iters_to(trace_pre, level)
         raw_s = "never" if raw is None else f"{raw:>8d}"
         pre_s = "never" if pre is None else f"{pre:>8d}"
         print(f"iters to error^2 <= {level:.0e}:  raw {raw_s}   walked {pre_s}")
 
-    print(f"raw solve converged:    {report.trace_raw.converged}")
-    print(f"walked solve converged: {report.trace_pre.converged}")
+    print(f"raw solve converged:    {trace_raw.converged}")
+    print(f"walked solve converged: {trace_pre.converged}")
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ circle with a mean-field density limit.
 
 Modules: ``linalg`` (dense kernels), ``walk`` (the core process),
 ``theory`` (exact gain oracle and growth predictions), ``solver``
-(randomized row-projection baseline and the walk-then-solve pipeline),
-``meanfield`` (circle dynamics and the density equation), ``systems``
-(seeded generators), ``io`` (byte-stable CSV/JSON), ``experiments`` and
-``cli`` (the ``kkw`` driver).
+(randomized row-projection baseline; walk-then-solve is ``run_walk``
+then ``kaczmarz_solve``), ``meanfield`` (circle dynamics and the density
+equation), ``systems`` (seeded generators), ``io`` (byte-stable
+CSV/JSON), ``experiments`` and ``cli`` (the ``kkw`` command).
 """
 
 from kacwalk.linalg import (
@@ -34,11 +34,9 @@ from kacwalk.meanfield import (
     uniform_grid,
 )
 from kacwalk.solver import (
-    PreconditionReport,
     SolveConfig,
     SolveTrace,
     kaczmarz_solve,
-    precondition_then_solve,
 )
 from kacwalk.systems import (
     gaussian_system,
@@ -81,11 +79,9 @@ __all__ = [
     "order_parameter_4",
     "run_circle_walk",
     "uniform_grid",
-    "PreconditionReport",
     "SolveConfig",
     "SolveTrace",
     "kaczmarz_solve",
-    "precondition_then_solve",
     "gaussian_system",
     "random_circle_ensemble",
     "random_orthogonal_system",

@@ -7,8 +7,9 @@ run_experiment writes that as ``report.json`` and returns the written
 paths. The few experiment-specific options live in the config's
 ``extra`` table as strings: EXTRAS declares each key an experiment reads
 with its parser and default, and building a config rejects any other
-key, or a value its parser refuses. Histogram bins, the mean-field grid
-and the solver's target residual are the fixed constants below.
+key, or a value its parser refuses; REQUIRES holds each pipeline's shape
+checks. Histogram bins, the mean-field grid and the solver's target
+residual are the fixed constants below.
 
 Config files are flat ``key = value`` text: the canonical keys are
 experiment, m, n, seed, steps, snapshot_every, output_dir, and trials;
@@ -28,7 +29,7 @@ from kacwalk.meanfield import (
     meanfield_integrate,
     run_circle_walk,
 )
-from kacwalk.solver import SolveConfig, kaczmarz_solve, precondition_then_solve
+from kacwalk.solver import SolveConfig, kaczmarz_solve
 from kacwalk.theory import expected_gain_exact, predict_linear, predict_logistic
 from kacwalk.walk import WalkConfig, run_walk
 
@@ -112,6 +113,36 @@ EXTRAS = {
     "circle": {"meanfield": (_flag, False)},
     "solver_compare": {"max_iters": (int, 25000), "budgets": (_budgets, ())},
     "theorem_audit": {"shapes": (_shapes, ((4, 4), (6, 6), (5, 4), (8, 3)))},
+}
+
+
+def _ell(cfg):
+    ell = _extra(cfg, "ell")
+    return cfg.n if ell is None else ell
+
+
+def _audit_fields(cfg):
+    unread = [name for name in ("m", "n", "steps", "snapshot_every")
+              if getattr(cfg, name) != DEFAULTS["theorem_audit"][name]]
+    return unread and (f"theorem_audit does not read {', '.join(unread)}; "
+                       f"set instance shapes with -x shapes=MxN")
+
+
+# Per pipeline, checks that return why a config does not suit it (or a
+# false value). run_experiment runs them before it creates the output
+# directory; building the config cannot, as a config file may set m and
+# leave n to the command line.
+REQUIRES = {
+    "square_walk": (
+        lambda c: c.m != c.n and "square_walk needs m == n",
+        lambda c: not 1 <= _ell(c) <= c.n
+        and f"ell must lie in [1, {c.n}], got {_ell(c)}"),
+    "overdetermined": (lambda c: c.m <= c.n and "overdetermined needs m > n",),
+    "n_plus_one": (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",),
+    "circle": (
+        lambda c: c.n != 2 and "circle is the two-column case; set n = 2",),
+    "solver_compare": (),
+    "theorem_audit": (_audit_fields,),
 }
 
 
@@ -269,12 +300,7 @@ def exp_square_walk(cfg, out, files):
 
     The curves are evaluated for singular value index ``ell`` (extra key,
     default n, i.e. the smallest)."""
-    if cfg.m != cfg.n:
-        raise ValueError("square_walk needs m == n")
-    ell = _extra(cfg, "ell")
-    ell = cfg.n if ell is None else ell
-    if not 1 <= ell <= cfg.n:
-        raise ValueError(f"ell must lie in [1, {cfg.n}], got {ell}")
+    ell = _ell(cfg)
     health = []
     runs = [snaps for _, snaps in
             _walk_trials(cfg, out, files, health, steps_csv=True)]
@@ -312,8 +338,6 @@ def exp_overdetermined(cfg, out, files):
 
     The histogram pools final singular values over all trials into 20
     bins; condition numbers are reported per trial."""
-    if cfg.m <= cfg.n:
-        raise ValueError("overdetermined needs m > n")
     health = []
     finals = []
     trials = []
@@ -348,8 +372,6 @@ def exp_n_plus_one(cfg, out, files):
 
     Tracks how the top singular value approaches sqrt(2) while all the
     others settle at 1."""
-    if cfg.m != cfg.n + 1:
-        raise ValueError("n_plus_one needs m == n + 1")
     health = []
     trials = []
     sqrt2 = float(np.sqrt(2.0))
@@ -381,8 +403,6 @@ def exp_circle(cfg, out, files):
     the density equation on a 256-cell grid from the initial histogram
     of the first trial to t = 2 (RK4, dt = 0.005) and writes density
     snapshots at the start and end times."""
-    if cfg.n != 2:
-        raise ValueError("circle is the two-column case; set n = 2")
     trials = []
     for t in range(cfg.trials):
         seed = cfg.seed + t
@@ -433,38 +453,33 @@ def exp_solver_compare(cfg, out, files):
     cfg.steps is the walk budget for the canonical comparison; each solve
     runs to residual 1e-6. Extras: max_iters (iteration cap per solve,
     default 25000) and budgets (comma-separated extra walk budgets, each
-    written with a _b<budget> suffix; default none).
+    written with a _b<budget> suffix; default none). Each budget runs once.
     """
     max_iters = _extra(cfg, "max_iters")
-    budgets = _extra(cfg, "budgets")
+    budgets = dict.fromkeys((cfg.steps, *_extra(cfg, "budgets")))
     trials = []
     for t in range(cfg.trials):
         seed = cfg.seed + t
         system = systems.gaussian_system(cfg.m, cfg.n, seed)
+        x0 = np.zeros(cfg.n)
         scfg = SolveConfig(seed=seed, max_iters=max_iters,
                            target_residual=TARGET_RESIDUAL,
                            record_every=cfg.snapshot_every)
-        rep = precondition_then_solve(system, cfg.steps, scfg)
-        files.append(io.write_trace_csv(out / f"solve_raw_{seed}.csv",
-                                        rep.trace_raw))
-        files.append(io.write_trace_csv(out / f"solve_pre_{seed}.csv",
-                                        rep.trace_pre))
-        entry = {
-            "seed": seed,
-            "sigma_min_before": rep.sigma_min_before,
-            "sigma_min_after": rep.sigma_min_after,
-            "iters_raw": _iters_to_target(rep.trace_raw),
-            "iters_pre": {str(cfg.steps): _iters_to_target(rep.trace_pre)},
-        }
+        _, trace = kaczmarz_solve(system, x0, scfg)
+        files.append(io.write_trace_csv(out / f"solve_raw_{seed}.csv", trace))
+        entry = {"seed": seed, "iters_raw": _iters_to_target(trace),
+                 "iters_pre": {}}
         for budget in budgets:
+            walked, _, snaps = run_walk(system, WalkConfig(
+                seed=seed, steps=budget, snapshot_every=max(1, budget)))
+            _, trace = kaczmarz_solve(walked, x0, scfg)
             if budget == cfg.steps:
-                continue
-            wcfg = WalkConfig(seed=seed, steps=budget,
-                              snapshot_every=max(1, budget))
-            walked, _, _ = run_walk(system, wcfg)
-            _, trace = kaczmarz_solve(walked, np.zeros(system.n), scfg)
-            files.append(io.write_trace_csv(
-                out / f"solve_pre_{seed}_b{budget}.csv", trace))
+                name = f"solve_pre_{seed}.csv"
+                entry["sigma_min_before"] = float(snaps[0].sigmas[-1])
+                entry["sigma_min_after"] = float(snaps[-1].sigmas[-1])
+            else:
+                name = f"solve_pre_{seed}_b{budget}.csv"
+            files.append(io.write_trace_csv(out / name, trace))
             entry["iters_pre"][str(budget)] = _iters_to_target(trace)
         trials.append(entry)
 
@@ -486,11 +501,6 @@ def exp_theorem_audit(cfg, out, files):
     the same for the refined pair-sum bound. The instance shapes come
     from ``shapes`` alone: m, n, steps and snapshot_every must keep their
     defaults."""
-    ignored = [name for name in ("m", "n", "steps", "snapshot_every")
-               if getattr(cfg, name) != DEFAULTS["theorem_audit"][name]]
-    if ignored:
-        raise ValueError(f"theorem_audit does not read {', '.join(ignored)}; "
-                         f"set instance shapes with -x shapes=MxN")
     shapes = _extra(cfg, "shapes")
     gaps = []
     refined_gaps = []
@@ -532,9 +542,12 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg):
-    """Run the named pipeline in cfg.output_dir (created if missing) and
-    write its report as ``report.json``; returns the written paths,
-    report.json last."""
+    """Run the named pipeline, once its REQUIRES hold, in cfg.output_dir
+    (created if missing) and write its report as ``report.json``; returns
+    the written paths, report.json last."""
+    for check in REQUIRES[cfg.experiment]:
+        if problem := check(cfg):
+            raise ValueError(problem)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []

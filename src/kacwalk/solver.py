@@ -1,11 +1,11 @@
-"""Randomized row-projection solver and the walk-then-solve pipeline.
+"""Randomized row-projection solver.
 
 The solver is the classical randomized projection iteration: sample a row
 with probability proportional to its squared norm, project the iterate
 onto that row's hyperplane, repeat. Its expected squared error contracts
-by (1 - sigma_min^2 / ||A||_F^2) per iteration, so anything that grows
-the smallest singular value while preserving the solution (the walk does
-exactly that) speeds it up.
+by (1 - sigma_min^2 / ||A||_F^2) per iteration, so it takes fewer
+iterations on the system ``run_walk`` returns, whose smallest singular
+value has grown while its solution stayed put.
 """
 
 from dataclasses import dataclass, field
@@ -13,14 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kacwalk import linalg
-from kacwalk.walk import LinearSystem, WalkConfig, run_walk
 
 __all__ = [
     "SolveConfig",
     "SolveTrace",
     "kaczmarz_solve",
-    "PreconditionReport",
-    "precondition_then_solve",
 ]
 
 
@@ -119,42 +116,3 @@ def kaczmarz_solve(system, x0, config):
         converged=bool(converged),
     )
 
-
-@dataclass(frozen=True)
-class PreconditionReport:
-    """Outcome of solving the same system raw and after a walk run:
-    matched-seed solver traces plus the smallest singular value before
-    and after the walk. ``preconditioned`` is the walked system itself."""
-
-    trace_raw: SolveTrace
-    trace_pre: SolveTrace
-    sigma_min_before: float
-    sigma_min_after: float
-    preconditioned: LinearSystem = field(repr=False)
-
-
-def precondition_then_solve(system, walk_steps, config):
-    """Run the walk for walk_steps updates, then solve both the original
-    and the walked system from zero with identical solver settings.
-
-    The system must carry a reference solution (both traces measure
-    ||x_k - x_ref||^2, and the walk preserves x_ref). The walk is seeded
-    with config.seed.
-    """
-    if system.x_ref is None:
-        raise ValueError("precondition_then_solve needs a reference solution")
-    if walk_steps < 0:
-        raise ValueError(f"walk_steps must be >= 0, got {walk_steps}")
-    wcfg = WalkConfig(seed=config.seed, steps=walk_steps,
-                      snapshot_every=max(1, walk_steps))
-    walked, _, snaps = run_walk(system, wcfg)
-    x0 = np.zeros(system.n)
-    _, trace_raw = kaczmarz_solve(system, x0, config)
-    _, trace_pre = kaczmarz_solve(walked, x0, config)
-    return PreconditionReport(
-        trace_raw=trace_raw,
-        trace_pre=trace_pre,
-        sigma_min_before=float(snaps[0].sigmas[-1]),
-        sigma_min_after=float(snaps[-1].sigmas[-1]),
-        preconditioned=walked,
-    )

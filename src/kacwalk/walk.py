@@ -92,9 +92,8 @@ class LinearSystem:
         return self.A.shape[1]
 
     def copy(self):
-        """Deep copy; mutating the copy leaves the original untouched."""
-        x = None if self.x_ref is None else self.x_ref.copy()
-        return LinearSystem(self.A.copy(), self.b.copy(), x)
+        """Deep copy: the constructor copies every array it is given."""
+        return LinearSystem(self.A, self.b, self.x_ref)
 
 
 @dataclass(frozen=True)

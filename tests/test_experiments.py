@@ -184,8 +184,9 @@ def test_circle_requires_two_columns(tmp_path):
 def test_solver_compare_outputs(tmp_path):
     cfg = default_config("solver_compare", output_dir=tmp_path, m=12, n=12,
                          seed=7, steps=400, snapshot_every=100, trials=1,
-                         extra={"max_iters": "600", "budgets": "100"})
+                         extra={"max_iters": "600", "budgets": "100,100,400"})
     files = run_experiment(cfg)
+    assert len(files) == len(set(files))  # each budget is solved once
     names = {f.name for f in files}
     assert {"solve_raw_7.csv", "solve_pre_7.csv", "solve_pre_7_b100.csv",
             "report.json"} <= names
@@ -341,6 +342,18 @@ def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "m, n, steps" in err and "-x shapes=MxN" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["square_walk", "--m", "6", "--n", "3"],
+    ["theorem_audit", "--m", "12"],
+    ["square_walk", "--m", "6", "--n", "6", "-x", "ell=9"],
+], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell"])
+def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--out", str(tmp_path / "d")])
+    assert code == 1
+    capsys.readouterr()
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_error_paths(tmp_path, capsys):

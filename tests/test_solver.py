@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from kacwalk import linalg
-from kacwalk.solver import (
-    SolveConfig,
-    kaczmarz_solve,
-    precondition_then_solve,
-)
+from kacwalk.solver import SolveConfig, kaczmarz_solve
 from kacwalk.systems import gaussian_system, random_orthogonal_system
-from kacwalk.walk import LinearSystem
+from kacwalk.walk import LinearSystem, WalkConfig, run_walk
 
 
 def test_solver_converges_on_orthogonal_system():
@@ -92,47 +88,22 @@ def test_solve_config_validation():
                     record_every=0)
 
 
-# ---------------------------------------------------------------- pipeline
-
-
-def test_precondition_requires_reference_solution():
-    A = np.eye(4)
-    sys0 = LinearSystem(A, np.ones(4))
-    with pytest.raises(ValueError, match="reference"):
-        precondition_then_solve(sys0, 10, SolveConfig(seed=0, max_iters=10,
-                                                      target_residual=1e-6))
-
-
-def test_precondition_zero_steps_is_a_pure_control():
-    sys0 = gaussian_system(8, 8, seed=6)
-    cfg = SolveConfig(seed=3, max_iters=400, target_residual=1e-10,
-                      record_every=100)
-    rep = precondition_then_solve(sys0, 0, cfg)
-    assert rep.sigma_min_before == rep.sigma_min_after
-    assert np.array_equal(rep.trace_raw.error_sq, rep.trace_pre.error_sq)
+# ------------------------------------------------------- walk, then solve
 
 
 def test_precondition_improves_conditioning_and_convergence():
     sys0 = gaussian_system(15, 15, seed=21)
     cfg = SolveConfig(seed=5, max_iters=3000, target_residual=1e-9,
                       record_every=200)
-    rep = precondition_then_solve(sys0, 2000, cfg)
-    assert rep.sigma_min_after > rep.sigma_min_before
-    assert np.abs(np.linalg.norm(rep.preconditioned.A, axis=1) - 1.0).max() < 1e-12
+    walked, _, snaps = run_walk(sys0, WalkConfig(seed=5, steps=2000,
+                                                 snapshot_every=2000))
+    _, trace_raw = kaczmarz_solve(sys0, np.zeros(15), cfg)
+    _, trace_pre = kaczmarz_solve(walked, np.zeros(15), cfg)
+    assert snaps[-1].sigmas[-1] > snaps[0].sigmas[-1]
+    assert np.abs(np.linalg.norm(walked.A, axis=1) - 1.0).max() < 1e-12
     # the walked system still has the same solution
-    assert np.abs(rep.preconditioned.A @ sys0.x_ref
-                  - rep.preconditioned.b).max() < 1e-9
+    assert np.abs(walked.A @ sys0.x_ref - walked.b).max() < 1e-9
     # and the solver reaches the target in fewer iterations on it
-    assert rep.trace_pre.converged
-    if rep.trace_raw.converged:
-        assert rep.trace_pre.iters[-1] <= rep.trace_raw.iters[-1]
-
-
-def test_precondition_walk_steps_change_walk_not_solver():
-    sys0 = gaussian_system(8, 8, seed=9)
-    cfg = SolveConfig(seed=11, max_iters=200, target_residual=1e-12,
-                      record_every=50)
-    rep_a = precondition_then_solve(sys0, 100, cfg)
-    rep_b = precondition_then_solve(sys0, 200, cfg)
-    assert not np.array_equal(rep_a.preconditioned.A, rep_b.preconditioned.A)
-    assert np.array_equal(rep_a.trace_raw.error_sq, rep_b.trace_raw.error_sq)
+    assert trace_pre.converged
+    if trace_raw.converged:
+        assert trace_pre.iters[-1] <= trace_raw.iters[-1]
