@@ -81,7 +81,10 @@ def _flag(text):
 
 
 def _budgets(text):
-    return tuple(int(v) for v in str(text).split(",") if v.strip())
+    budgets = tuple(int(v) for v in str(text).split(",") if v.strip())
+    if any(budget < 0 for budget in budgets):
+        raise ValueError("walk budgets must be >= 0")
+    return budgets
 
 
 def _shapes(text):
@@ -128,20 +131,27 @@ def _audit_fields(cfg):
                        f"set instance shapes with -x shapes=MxN")
 
 
+def _pairs(c):
+    return c.m < 2 and f"the walk needs m >= 2 (a row pair), got {c.m}"
+
+
 # Per pipeline, checks that return why a config does not suit it (or a
 # false value). run_experiment runs them before it creates the output
 # directory; building the config cannot, as a config file may set m and
-# leave n to the command line.
+# leave n to the command line. overdetermined and n_plus_one get m >= 2
+# from their shape rule.
 REQUIRES = {
     "square_walk": (
+        _pairs,
         lambda c: c.m != c.n and "square_walk needs m == n",
         lambda c: not 1 <= _ell(c) <= c.n
         and f"ell must lie in [1, {c.n}], got {_ell(c)}"),
     "overdetermined": (lambda c: c.m <= c.n and "overdetermined needs m > n",),
     "n_plus_one": (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",),
     "circle": (
+        _pairs,
         lambda c: c.n != 2 and "circle is the two-column case; set n = 2",),
-    "solver_compare": (),
+    "solver_compare": (_pairs,),
     "theorem_audit": (_audit_fields,),
 }
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, sample_pair
+from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, sample_pair
 
 __all__ = [
     "TWO_PI",
@@ -128,16 +128,18 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     n = ensemble.n
     if n < 2:
         raise ValueError("need at least two angles")
-    theta = ensemble.angles.copy()
-    rng = np.random.default_rng(seed)
-    samples = [(0, _order4(theta))]
+    # A list of Python floats: the same float64 arithmetic, without the
+    # cost of numpy scalar indexing on every step.
+    theta = ensemble.angles.tolist()
+    rng = _BlockDraws(np.random.default_rng(seed), n)
+    samples = [(0, _order4(np.array(theta)))]
     skipped = 0
     for k in range(1, steps + 1):
         i, j = sample_pair(rng, n)
         if not _step_angles(theta, i, j):
             skipped += 1
         if (sample_every is not None and k % sample_every == 0) or k == steps:
-            samples.append((k, _order4(theta)))
+            samples.append((k, _order4(np.array(theta))))
     return CircleEnsemble(theta), samples, skipped
 
 

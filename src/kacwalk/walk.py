@@ -36,6 +36,8 @@ ROW_NORM_TOL = 1e-12
 REFERENCE_RESIDUAL_TOL = 1e-10
 # Pairs with 1 - c^2 below this are parallel up to sign and left alone.
 DEGENERATE_TOL = 1e-12
+# Walk loops draw their row indices this many at a time.
+_DRAW_BLOCK = 4096
 
 
 @dataclass
@@ -151,11 +153,42 @@ class SpectrumSnapshot:
     residual_inf: float | None = None
 
 
+class _BlockDraws:
+    """A source of ``integers(m)`` for one fixed m, served from blocks of
+    _DRAW_BLOCK draws on a numpy Generator.
+
+    ``rng.integers(m, size=K)`` yields exactly the values of K scalar
+    ``rng.integers(m)`` calls, so a walk driven through this source takes
+    the same pairs as one that draws each index on its own, at a fraction
+    of the interpreter cost. Any other bound is refused.
+    """
+
+    __slots__ = ("_rng", "_m", "_block", "_pos")
+
+    def __init__(self, rng, m):
+        self._rng = rng
+        self._m = m
+        self._block = []
+        self._pos = 0
+
+    def integers(self, m):
+        if m != self._m:
+            raise ValueError(f"this source draws below {self._m}, not {m}")
+        pos = self._pos
+        if pos == len(self._block):
+            self._block = self._rng.integers(m, size=_DRAW_BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._block[pos]
+
+
 def sample_pair(rng, m):
     """Ordered pair (i, j) with i != j, uniform over all m(m-1) choices.
 
-    j is drawn by rejection so every ordered pair has exactly equal mass
-    under the generator's raw integer stream.
+    rng is any source with an ``integers(m)`` method, such as a numpy
+    Generator; the walk loops pass a _BlockDraws over one, which yields
+    the same stream. j is drawn by rejection so every ordered pair has
+    exactly equal mass under the generator's raw integer stream.
     """
     if m < 2:
         raise ValueError(f"need at least two rows to form a pair, got {m}")
@@ -189,24 +222,26 @@ def walk_step(system, i, j):
     residual_inf and the amplification sum -1/2 log(1 - c^2)
     (log_amp_max) instead.
     """
-    m = system.m
+    A, b = system.A, system.b
+    m = A.shape[0]
     if i == j:
         raise ValueError("need two distinct rows")
     if not (0 <= i < m and 0 <= j < m):
         raise IndexError(f"row indices ({i}, {j}) out of range for {m} rows")
-    A, b = system.A, system.b
-    c = float(A[i] @ A[j])
+    Ai, Aj = A[i], A[j]
+    c = float(Ai.dot(Aj))
     rest = 1.0 - c * c
     if rest < DEGENERATE_TOL:
         # Rounding can push |c| a hair past 1 here; clamp for the record.
         return max(-1.0, min(1.0, c)), True
     scale = math.sqrt(rest)
-    A[j] -= c * A[i]
-    A[j] /= scale
-    b[j] = (b[j] - c * b[i]) / scale
-    r = float(np.linalg.norm(A[j]))
-    A[j] /= r
-    b[j] /= r
+    Aj -= c * Ai
+    Aj /= scale
+    # np.linalg.norm(Aj) computes exactly this (and dot equals @ bitwise);
+    # calling the method directly skips the overhead of both.
+    r = math.sqrt(float(Aj.dot(Aj)))
+    Aj /= r
+    b[j] = (b[j] - c * b[i]) / scale / r
     return c, False
 
 
@@ -243,15 +278,18 @@ def run_walk(system, config):
     if system.m < 2:
         raise ValueError("the walk needs at least two rows")
     work = system.copy()
-    rng = np.random.default_rng(config.seed)
+    m, steps = work.m, config.steps
+    rng = _BlockDraws(np.random.default_rng(config.seed), m)
     every = config.snapshot_every if config.snapshot_every is not None else work.n
-    log = StepLog(config.steps)
+    log = StepLog(steps)
+    log_i, log_j, log_c, log_skipped = log.i, log.j, log.c, log.skipped
     snapshots = [take_snapshot(work, 0)]
-    for k in range(1, config.steps + 1):
-        i, j = sample_pair(rng, work.m)
-        log.i[k - 1] = i
-        log.j[k - 1] = j
-        log.c[k - 1], log.skipped[k - 1] = walk_step(work, i, j)
-        if k % every == 0 or k == config.steps:
+    for p in range(steps):
+        i, j = sample_pair(rng, m)
+        log_i[p] = i
+        log_j[p] = j
+        log_c[p], log_skipped[p] = walk_step(work, i, j)
+        k = p + 1
+        if k % every == 0 or k == steps:
             snapshots.append(take_snapshot(work, k))
     return work, log, snapshots

@@ -324,7 +324,8 @@ def test_cli_rejects_extras_the_experiment_does_not_read(tmp_path, capsys,
     (["solver_compare", "-x", "budgets=5,x"], "budgets='5,x'"),
     (["solver_compare", "-x", "max_iters=many"], "max_iters='many'"),
     (["theorem_audit", "-x", "shapes=3"], "shapes='3'"),
-], ids=["meanfield", "budgets", "max_iters", "shapes"])
+    (["solver_compare", "-x", "budgets=-5"], "budgets='-5'"),
+], ids=["meanfield", "budgets", "max_iters", "shapes", "budgets-negative"])
 def test_cli_rejects_bad_extra_values_before_any_work(tmp_path, capsys,
                                                       argv, bad):
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
@@ -348,7 +349,10 @@ def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
     ["square_walk", "--m", "6", "--n", "3"],
     ["theorem_audit", "--m", "12"],
     ["square_walk", "--m", "6", "--n", "6", "-x", "ell=9"],
-], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell"])
+    ["square_walk", "--m", "1", "--n", "1"],
+    ["circle", "--m", "1"],
+], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell",
+        "square_walk-m1", "circle-m1"])
 def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "d")])
     assert code == 1

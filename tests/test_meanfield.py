@@ -18,7 +18,7 @@ from kacwalk.meanfield import (
     uniform_grid,
 )
 from kacwalk.systems import random_circle_ensemble
-from kacwalk.walk import LinearSystem, walk_step
+from kacwalk.walk import _DRAW_BLOCK, LinearSystem, sample_pair, walk_step
 
 QUARTER = 0.5 * np.pi
 
@@ -129,6 +129,28 @@ def test_run_circle_walk_deterministic_and_input_untouched():
     assert np.array_equal(ens.angles, before)
     assert np.array_equal(f1.angles, f2.angles)
     assert s1 == s2
+
+
+def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise():
+    # Past several draw blocks, the walk must be exactly sample_pair on a
+    # generator drawing scalars plus circle_step, skips and samples too.
+    ens = random_circle_ensemble(5, seed=3)
+    steps, every = 3 * _DRAW_BLOCK + 7, 1000
+    final, samples, skipped = run_circle_walk(ens, steps, seed=4,
+                                              sample_every=every)
+    rng = np.random.default_rng(4)
+    ref, ref_skipped = ens, 0
+    ref_samples = [(0, order_parameter_4(ens))]
+    for k in range(1, steps + 1):
+        i, j = sample_pair(rng, ens.n)
+        gap = np.sin(ref.angles[j] - ref.angles[i])
+        ref_skipped += bool(abs(gap) < meanfield.SIN_TOL)
+        ref = circle_step(ref, i, j)
+        if k % every == 0 or k == steps:
+            ref_samples.append((k, order_parameter_4(ref)))
+    assert np.array_equal(final.angles, ref.angles)
+    assert samples == ref_samples
+    assert skipped == ref_skipped > 0
 
 
 # ------------------------------------------------------------------- grids

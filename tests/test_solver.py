@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kacwalk import linalg
-from kacwalk.solver import SolveConfig, kaczmarz_solve
+from kacwalk.solver import _STOP_GUARD, SolveConfig, kaczmarz_solve
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import LinearSystem, WalkConfig, run_walk
 
@@ -76,6 +76,102 @@ def test_mean_error_contraction_matches_rate_bound():
         bound = (1.0 - smin**2 / 20.0) ** k
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert vals.mean() <= bound + 3.0 * se
+
+
+def _reference_solve(system, x0, config):
+    # The plain loop kaczmarz_solve must reproduce bit for bit: one row
+    # index and one full ||A x - b|| per iteration.
+    x = linalg.as_vector(x0)
+    A, b = system.A, system.b
+    row_sq = (A * A).sum(axis=1)
+    cum = np.cumsum(row_sq)
+    cum /= cum[-1]
+    draws = np.random.default_rng(config.seed).random(config.max_iters)
+
+    def err(v):
+        d = v - system.x_ref if system.x_ref is not None else A @ v - b
+        return float(d @ d)
+
+    def resid(v):
+        return float(np.linalg.norm(A @ v - b))
+
+    iters, errors = [0], [err(x)]
+    converged = resid(x) <= config.target_residual
+    k = 0
+    while not converged and k < config.max_iters:
+        i = int(np.searchsorted(cum, draws[k], side="right"))
+        k += 1
+        a = A[i]
+        x = x + ((b[i] - float(a @ x)) / row_sq[i]) * a
+        converged = resid(x) <= config.target_residual
+        if converged or k == config.max_iters or k % config.record_every == 0:
+            iters.append(k)
+            errors.append(err(x))
+    return x, np.array(iters), np.array(errors), converged
+
+
+def _walked(m, n, seed, steps):
+    return run_walk(gaussian_system(m, n, seed),
+                    WalkConfig(seed=seed, steps=steps, snapshot_every=steps))[0]
+
+
+def _without_reference(system):
+    return LinearSystem(system.A, system.b)
+
+
+@pytest.mark.parametrize("system,x0,config,converged", [
+    (_walked(12, 12, 1, 2000), None,
+     SolveConfig(seed=1, max_iters=20000, target_residual=1e-8), True),
+    (gaussian_system(20, 20, 2), None,
+     SolveConfig(seed=2, max_iters=700, target_residual=1e-12), False),
+    (_without_reference(gaussian_system(20, 8, 3)), None,
+     SolveConfig(seed=3, max_iters=20000, target_residual=1e-7,
+                 record_every=37), True),
+    (gaussian_system(30, 10, 4), None,
+     SolveConfig(seed=4, max_iters=20000, target_residual=1e-9), True),
+    (gaussian_system(12, 6, 5), None,
+     SolveConfig(seed=5, max_iters=3000, target_residual=1e-6,
+                 record_every=1), True),
+    (gaussian_system(6, 4, 6), "x_ref",
+     SolveConfig(seed=6, max_iters=50, target_residual=1e-8), True),
+], ids=["walked", "raw-capped", "no-x_ref", "tall-30x10", "record_every-1",
+        "x0-at-solution"])
+def test_solver_matches_reference_loop_bitwise(system, x0, config, converged):
+    x0 = system.x_ref if x0 == "x_ref" else np.zeros(system.n)
+    x, trace = kaczmarz_solve(system, x0, config)
+    ref_x, ref_iters, ref_errors, ref_converged = _reference_solve(
+        system, x0, config)
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(trace.iters, ref_iters)
+    assert np.array_equal(trace.error_sq, ref_errors)
+    assert trace.converged == ref_converged == converged
+
+
+def test_solver_stop_inside_the_guard_band_matches_reference_bitwise():
+    # Pick the target just under the residual after 300 iterations: the
+    # iterations before the stop then sit between target and
+    # _STOP_GUARD * target, where the exact residual is checked and must
+    # not stop the run.
+    system = gaussian_system(10, 10, 7)
+    x0 = np.zeros(10)
+
+    def residual_after(k):
+        cfg = SolveConfig(seed=7, max_iters=k, target_residual=1e-300)
+        x = _reference_solve(system, x0, cfg)[0]
+        return float(np.linalg.norm(system.A @ x - system.b))
+
+    target = 0.999 * residual_after(300)
+    config = SolveConfig(seed=7, max_iters=5000, target_residual=target)
+    x, trace = kaczmarz_solve(system, x0, config)
+    ref_x, ref_iters, ref_errors, ref_converged = _reference_solve(
+        system, x0, config)
+    stop = int(ref_iters[-1])
+    assert ref_converged and stop > 1
+    assert target < residual_after(stop - 1) <= _STOP_GUARD * target
+    assert np.array_equal(x, ref_x)
+    assert np.array_equal(trace.iters, ref_iters)
+    assert np.array_equal(trace.error_sq, ref_errors)
+    assert trace.converged
 
 
 def test_solve_config_validation():

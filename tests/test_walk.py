@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from kacwalk import io, linalg
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import (
+    _DRAW_BLOCK,
     LinearSystem,
     WalkConfig,
+    _BlockDraws,
     run_walk,
     sample_pair,
     take_snapshot,
@@ -238,6 +240,24 @@ def test_sample_pair_uniform_over_ordered_pairs():
     assert chi2 < 25.0
 
 
+@pytest.mark.parametrize("m", [2, 3, 31, 1000, 2**20 + 7, 2**33 + 5])
+def test_block_draws_match_scalar_draws_across_blocks(m):
+    # The walk loops rely on numpy's integers(m, size=K) yielding the
+    # values of K scalar integers(m) calls.
+    scalar = np.random.default_rng(m)
+    blocks = _BlockDraws(np.random.default_rng(m), m)
+    steps = 2 * _DRAW_BLOCK + 3
+    assert ([int(blocks.integers(m)) for _ in range(steps)]
+            == [int(scalar.integers(m)) for _ in range(steps)])
+
+
+def test_block_draws_refuse_another_bound():
+    blocks = _BlockDraws(np.random.default_rng(0), 5)
+    blocks.integers(5)
+    with pytest.raises(ValueError, match="5"):
+        blocks.integers(4)
+
+
 # ------------------------------------------------------------------- logs
 
 
@@ -253,11 +273,15 @@ def _duplicated_row_system():
 @pytest.mark.parametrize("system,steps,skips", [
     (make_system(8, 8, 13), 300, False),
     (_duplicated_row_system(), 400, True),
-], ids=["8x8", "6x4-duplicated-row"])
+    (make_system(2, 2, 14), 3 * _DRAW_BLOCK + 7, False),
+    (make_system(3, 2, 15), 3 * _DRAW_BLOCK + 7, True),
+], ids=["8x8", "6x4-duplicated-row", "2x2-past-blocks", "3x2-past-blocks"])
 def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
                                                   skips):
     # run_walk must be exactly sample_pair + walk_step applied in order
-    # on one generator; a faster engine gets checked against this replay.
+    # on one generator drawing scalars; a faster engine gets checked
+    # against this replay. The two small cases cross several draw blocks,
+    # with j redrawn whenever it hits i.
     cfg = WalkConfig(seed=21, steps=steps, snapshot_every=steps)
     final, log, _ = run_walk(system, cfg)
     ref = system.copy()
