@@ -34,6 +34,11 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _fmt_all(values):
+    # What _fmt gives value by value, from one conversion to Python floats.
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
 def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="")
 
@@ -63,7 +68,7 @@ def write_snapshots_csv(path, snapshots):
         raise ValueError("snapshots have inconsistent widths")
     header = ["k"] + [f"sigma_{p}" for p in range(1, n + 1)] + ["frob_sq"]
     return _write_rows(path, header, (
-        [str(snap.k)] + [_fmt(s) for s in snap.sigmas] + [_fmt(snap.frob_sq)]
+        [str(snap.k)] + _fmt_all(snap.sigmas) + [_fmt(snap.frob_sq)]
         for snap in snapshots))
 
 
@@ -102,8 +107,9 @@ def write_series_csv(path, header, ks, *columns):
     """Integer index column ``header[0]`` (``ks``) against float columns
     ``header[1:]``, one row per index."""
     return _write_rows(path, header, (
-        [str(int(k))] + [_fmt(v) for v in values]
-        for k, *values in zip(ks, *columns)))
+        [str(int(k))] + values
+        for k, *values in zip(np.asarray(ks).tolist(),
+                              *map(_fmt_all, columns))))
 
 
 def write_trace_csv(path, trace):
@@ -124,7 +130,7 @@ def write_density_csv(path, grid):
     """One density snapshot: single data row ``t, u_0, ..., u_{N-1}``."""
     header = ["t"] + [f"u_{p}" for p in range(grid.N)]
     return _write_rows(path, header,
-                       [[_fmt(grid.t)] + [_fmt(v) for v in grid.u]])
+                       [[_fmt(grid.t)] + _fmt_all(grid.u)])
 
 
 def read_density_csv(path):
@@ -140,7 +146,8 @@ def write_histogram_csv(path, centers, counts):
     if centers.shape != counts.shape:
         raise ValueError("centers and counts must have matching shapes")
     return _write_rows(path, ["bin_center", "count"], (
-        [_fmt(c), str(int(ct))] for c, ct in zip(centers, counts)))
+        [c, str(int(ct))]
+        for c, ct in zip(_fmt_all(centers), counts.tolist())))
 
 
 def write_json(path, payload):

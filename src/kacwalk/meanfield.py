@@ -125,6 +125,8 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if sample_every is not None and sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     n = ensemble.n
     if n < 2:
         raise ValueError("need at least two angles")

@@ -7,17 +7,21 @@ by (1 - sigma_min^2 / ||A||_F^2) per iteration, so it takes fewer
 iterations on the system ``run_walk`` returns, whose smallest singular
 value has grown while its solution stayed put.
 
-The row indices are drawn in one vectorized pass. The loop keeps a
-running residual r = A x - b, moved by delta * G[i] per projection with
-G = A A^T built once, so an iteration costs O(m + n) rather than the
-O(mn) of a fresh ||A x - b||. r is set exactly at every record point,
-and whenever its norm falls to _STOP_GUARD times the target the exact
-residual is computed. The stop is decided on that alone, so iterates,
-trace and stopping iteration are bitwise those of a loop that checks the
-exact residual every iteration, as long as the rounding drift of r over
-one record interval stays below the target (it is many orders of
-magnitude smaller unless the target sits at the rounding floor of
-||A x - b||; there the run can only stop later, never earlier).
+The row indices are drawn _ROW_BLOCK at a time from one generator, which
+yields the same stream as drawing all max_iters at once, so memory and
+set-up time follow the iterations run, not the cap. The loop does not
+compute ||A x - b|| every iteration. Projecting onto row i moves A x - b
+by delta * A a_i, whose norm is |delta| * reach[i] with reach[i] =
+||A a_i|| computed once. So after each exact residual res, the scalar
+room = res - _STOP_GUARD * target, decremented by |delta| * reach[i] per
+projection, is a lower bound on how far the residual still sits above
+_STOP_GUARD * target. The exact residual is computed only when room
+reaches 0 or at a record point, and it alone decides the stop. Iterates,
+trace and stopping iteration are therefore bitwise those of a loop that
+checks the exact residual every iteration, as long as the rounding in
+room since the last exact check stays below the target (it is many
+orders of magnitude smaller unless the target sits at the rounding floor
+of ||A x - b||; there the run can only stop later, never earlier).
 """
 
 import math
@@ -33,9 +37,11 @@ __all__ = [
     "kaczmarz_solve",
 ]
 
-# The exact residual is computed whenever the running one falls to this
+# The exact residual is computed whenever the bound on it falls to this
 # multiple of the target; only the exact one decides the stop.
 _STOP_GUARD = 2.0
+# Row indices drawn per call on the generator.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ def kaczmarz_solve(system, x0, config):
     cum = np.cumsum(row_sq)
     cum /= cum[-1]
     rng = np.random.default_rng(config.seed)
-    rows = np.searchsorted(cum, rng.random(config.max_iters),
-                           side="right").tolist()
 
     if system.x_ref is not None:
         ref = system.x_ref
@@ -112,33 +116,50 @@ def kaczmarz_solve(system, x0, config):
             r = A @ v - b
             return float(r @ r)
 
-    # r tracks A x - b: projecting onto row i moves it by delta * G[i].
-    G = A @ A.T
+    def residual(v):
+        r = A @ v - b
+        return math.sqrt(float(r.dot(r)))
+
+    # Views bound once: indexing a list is cheaper than A[i] per iteration.
+    A_rows = list(A)
+    # reach[i] = ||A a_i||; the m x m Gram matrix is dropped once it is read.
+    reach = np.linalg.norm(A @ A.T, axis=1).tolist()
     b_list, row_sq_list = b.tolist(), row_sq.tolist()
     target, every, last = (config.target_residual, config.record_every,
                            config.max_iters)
     guard = _STOP_GUARD * target
-    r = A @ x - b
+    res = residual(x)
+    room = res - guard
     iters = [0]
     errors = [err(x)]
-    converged = math.sqrt(float(r.dot(r))) <= target
-    k = 0
-    while not converged and k < last:
-        i = rows[k]
-        k += 1
-        a = A[i]
-        delta = (b_list[i] - float(a.dot(x))) / row_sq_list[i]
-        x += delta * a
-        r += delta * G[i]
-        record = k == last or k % every == 0
-        if record or math.sqrt(float(r.dot(r))) <= guard:
-            r = A @ x - b
-            converged = math.sqrt(float(r.dot(r))) <= target
-            if converged or record:
-                iters.append(k)
-                errors.append(err(x))
+    converged = res <= target
+    if not converged:
+        for k, i in enumerate(_rows(cum, rng, last), 1):
+            a = A_rows[i]
+            delta = (b_list[i] - float(a.dot(x))) / row_sq_list[i]
+            x += delta * a
+            room -= abs(delta) * reach[i]
+            record = k == last or k % every == 0
+            if record or room <= 0.0:
+                res = residual(x)
+                converged = res <= target
+                room = res - guard
+                if converged or record:
+                    iters.append(k)
+                    errors.append(err(x))
+                    if converged:
+                        break
     return x, SolveTrace(
         iters=np.asarray(iters, dtype=np.int64),
         error_sq=np.asarray(errors, dtype=np.float64),
         converged=bool(converged),
     )
+
+
+def _rows(cum, rng, count):
+    """count row indices, searchsorted from uniform draws made _ROW_BLOCK
+    at a time: consecutive rng.random blocks continue one stream."""
+    for start in range(0, count, _ROW_BLOCK):
+        u = rng.random(min(_ROW_BLOCK, count - start))
+        yield from np.searchsorted(cum, u, side="right").tolist()
+

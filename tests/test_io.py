@@ -95,3 +95,27 @@ def test_snapshot_writer_validation(tmp_path, walk_artifacts):
     narrow = dataclasses.replace(snaps[1], sigmas=snaps[1].sigmas[:2])
     with pytest.raises(ValueError, match="widths"):
         io.write_snapshots_csv(tmp_path / "w.csv", [snaps[0], narrow])
+
+
+def test_column_writers_format_floats_as_fmt_does(tmp_path):
+    from types import SimpleNamespace
+
+    values = np.array([-0.0, 5e-324, 1e300, np.nan, 0.1, -2.5])
+    want = [io._fmt(v) for v in values]
+    assert want[:4] == ["-0.0", "5e-324", "1e+300", "nan"]
+
+    def body(path):
+        return path.read_text().splitlines()[1:]
+
+    snap = SimpleNamespace(k=3, sigmas=values, frob_sq=values[1])
+    assert body(io.write_snapshots_csv(tmp_path / "s.csv", [snap])) == [
+        ",".join(["3"] + want + [want[1]])]
+    assert body(io.write_series_csv(tmp_path / "r.csv", ["k", "a", "b"],
+                                    range(6), values, values[::-1])) == [
+        f"{k},{a},{b}" for k, (a, b) in enumerate(zip(want, want[::-1]))]
+    grid = SimpleNamespace(N=6, t=values[0], u=values)
+    assert body(io.write_density_csv(tmp_path / "d.csv", grid)) == [
+        ",".join([want[0]] + want)]
+    assert body(io.write_histogram_csv(tmp_path / "h.csv", values,
+                                       np.arange(6))) == [
+        f"{c},{ct}" for ct, c in enumerate(want)]

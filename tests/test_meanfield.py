@@ -131,6 +131,17 @@ def test_run_circle_walk_deterministic_and_input_untouched():
     assert s1 == s2
 
 
+def test_run_circle_walk_validation():
+    ens = random_circle_ensemble(4, seed=0)
+    with pytest.raises(ValueError, match="steps"):
+        run_circle_walk(ens, -1, seed=0)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="sample_every"):
+            run_circle_walk(ens, 10, seed=0, sample_every=bad)
+    with pytest.raises(ValueError, match="two angles"):
+        run_circle_walk(random_circle_ensemble(1, seed=0), 10, seed=0)
+
+
 def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise():
     # Past several draw blocks, the walk must be exactly sample_pair on a
     # generator drawing scalars plus circle_step, skips and samples too.

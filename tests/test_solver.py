@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kacwalk import linalg
-from kacwalk.solver import _STOP_GUARD, SolveConfig, kaczmarz_solve
+from kacwalk.solver import _ROW_BLOCK, _STOP_GUARD, SolveConfig, kaczmarz_solve
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import LinearSystem, WalkConfig, run_walk
 
@@ -119,6 +121,14 @@ def _without_reference(system):
     return LinearSystem(system.A, system.b)
 
 
+def _inconsistent(m, n, seed):
+    # Unit rows and a b drawn apart from them: b is not in range(A) for
+    # m > n, so the residual never reaches the target.
+    rng = np.random.default_rng(seed)
+    return LinearSystem(linalg.normalize_rows(rng.standard_normal((m, n))),
+                        rng.standard_normal(m))
+
+
 @pytest.mark.parametrize("system,x0,config,converged", [
     (_walked(12, 12, 1, 2000), None,
      SolveConfig(seed=1, max_iters=20000, target_residual=1e-8), True),
@@ -134,8 +144,18 @@ def _without_reference(system):
                  record_every=1), True),
     (gaussian_system(6, 4, 6), "x_ref",
      SolveConfig(seed=6, max_iters=50, target_residual=1e-8), True),
+    # Stops at iteration 6922, in the second block of row draws.
+    (gaussian_system(16, 12, 3), None,
+     SolveConfig(seed=3, max_iters=3 * _ROW_BLOCK, target_residual=1e-10),
+     True),
+    (_walked(12, 12, 1, 2000), None,
+     SolveConfig(seed=1, max_iters=20000, target_residual=1e-8,
+                 record_every=10**6), True),
+    (_inconsistent(30, 10, 8), None,
+     SolveConfig(seed=8, max_iters=3000, target_residual=1e-6), False),
 ], ids=["walked", "raw-capped", "no-x_ref", "tall-30x10", "record_every-1",
-        "x0-at-solution"])
+        "x0-at-solution", "past-a-row-block", "record_every-above-cap",
+        "inconsistent-capped"])
 def test_solver_matches_reference_loop_bitwise(system, x0, config, converged):
     x0 = system.x_ref if x0 == "x_ref" else np.zeros(system.n)
     x, trace = kaczmarz_solve(system, x0, config)
@@ -172,6 +192,21 @@ def test_solver_stop_inside_the_guard_band_matches_reference_bitwise():
     assert np.array_equal(trace.iters, ref_iters)
     assert np.array_equal(trace.error_sq, ref_errors)
     assert trace.converged
+
+
+def test_solver_memory_follows_iterations_run_not_the_cap():
+    # Drawing all 10**7 rows up front would take 80 MB for the uniforms
+    # alone; this solve stops within a few hundred iterations.
+    system = random_orthogonal_system(8, seed=1)
+    config = SolveConfig(seed=2, max_iters=10**7, target_residual=1e-10)
+    tracemalloc.start()
+    try:
+        _, trace = kaczmarz_solve(system, np.zeros(8), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged and trace.iters[-1] < _ROW_BLOCK
+    assert peak < 1_000_000
 
 
 def test_solve_config_validation():
