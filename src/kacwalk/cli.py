@@ -30,16 +30,9 @@ def build_parser():
                             formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", type=Path, default=None,
                         help="flat key = value config file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="base seed (trial t uses seed + t)")
-        sp.add_argument("--steps", type=int, default=None,
-                        help="walk steps per trial")
-        sp.add_argument("--m", type=int, default=None, help="row count")
-        sp.add_argument("--n", type=int, default=None, help="column count")
-        sp.add_argument("--trials", type=int, default=None,
-                        help="number of seeded trials")
-        sp.add_argument("--snapshot-every", type=int, default=None,
-                        help="spectrum/trace sampling stride")
+        for name, (_, help_text) in experiments.FIELDS.items():
+            sp.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=None, help=help_text)
         sp.add_argument("--out", type=str, default=None, dest="out",
                         help="output directory (default: current directory)")
         sp.add_argument("-x", "--extra", action="append", default=[],
@@ -65,15 +58,8 @@ def resolve_config(args):
             raise ValueError(f"--extra expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         extra[key.strip()] = value.strip()
-    overrides = {
-        "seed": args.seed,
-        "steps": args.steps,
-        "m": args.m,
-        "n": args.n,
-        "trials": args.trials,
-        "snapshot_every": args.snapshot_every,
-        "output_dir": args.out,
-    }
+    overrides = {name: getattr(args, name) for name in experiments.FIELDS}
+    overrides["output_dir"] = args.out
     return dataclasses.replace(cfg, extra=extra, **{
         name: value for name, value in overrides.items() if value is not None})
 

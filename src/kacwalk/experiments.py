@@ -12,9 +12,9 @@ checks. Histogram bins, the mean-field grid and the solver's target
 residual are the fixed constants below.
 
 Config files are flat ``key = value`` text: the canonical keys are
-experiment, m, n, seed, steps, snapshot_every, output_dir, and trials;
+experiment, output_dir and the integer settings FIELDS declares;
 anything else lands in ``extra``. Blank lines and ``#`` comments are
-ignored. ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
+ignored.
 """
 
 from dataclasses import dataclass, field
@@ -35,18 +35,23 @@ from kacwalk.walk import WalkConfig, run_walk
 
 __all__ = [
     "ExperimentConfig",
+    "FIELDS",
     "default_config",
-    "emit_config",
     "parse_config",
     "read_config",
-    "write_config",
     "EXPERIMENTS",
     "run_experiment",
 ]
 
-_CANONICAL = ("experiment", "m", "n", "seed", "steps", "snapshot_every",
-              "output_dir", "trials")
-_INT_FIELDS = ("m", "n", "seed", "steps", "snapshot_every", "trials")
+# The integer settings, in kkw's flag order: name -> (lowest value, help).
+FIELDS = {
+    "seed": (0, "base seed (trial t uses seed + t)"),
+    "steps": (0, "walk steps per trial"),
+    "m": (1, "row count"),
+    "n": (1, "column count"),
+    "trials": (1, "number of seeded trials"),
+    "snapshot_every": (1, "spectrum/trace sampling stride"),
+}
 
 # Per-experiment canonical field defaults.
 DEFAULTS = {
@@ -80,6 +85,13 @@ def _flag(text):
     raise ValueError("expected true or false")
 
 
+def _iters(text):
+    iters = int(text)
+    if iters < 1:
+        raise ValueError(f"the iteration cap must be >= 1, got {iters}")
+    return iters
+
+
 def _budgets(text):
     budgets = tuple(int(v) for v in str(text).split(",") if v.strip())
     if any(budget < 0 for budget in budgets):
@@ -104,6 +116,9 @@ def _shapes(text):
             raise ValueError(f"audit shapes need m >= 2 (a row pair), got {m}")
         if n < 1:
             raise ValueError(f"audit shapes need n >= 1, got {n}")
+        if n == 1:
+            raise ValueError("audit shapes need n >= 2: with one column "
+                             "every row pair is parallel")
     return tuple(shapes)
 
 
@@ -114,7 +129,7 @@ EXTRAS = {
     "overdetermined": {},
     "n_plus_one": {},
     "circle": {"meanfield": (_flag, False)},
-    "solver_compare": {"max_iters": (int, 25000), "budgets": (_budgets, ())},
+    "solver_compare": {"max_iters": (_iters, 25000), "budgets": (_budgets, ())},
     "theorem_audit": {"shapes": (_shapes, ((4, 4), (6, 6), (5, 4), (8, 3)))},
 }
 
@@ -181,11 +196,10 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"choose from {sorted(EXPERIMENTS)}"
             )
-        for name in ("m", "n", "snapshot_every", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name, (lowest, _) in FIELDS.items():
+            if getattr(self, name) < lowest:
+                raise ValueError(
+                    f"{name} must be >= {lowest}, got {getattr(self, name)}")
         allowed = EXTRAS[self.experiment]
         for key in sorted(self.extra):
             if key not in allowed:
@@ -213,13 +227,6 @@ def default_config(experiment, output_dir=".", **overrides):
                             extra=dict(extra), **fields)
 
 
-def emit_config(cfg):
-    """Serialize to the flat ``key = value`` text form."""
-    lines = [f"{name} = {getattr(cfg, name)}" for name in _CANONICAL]
-    lines += [f"{key} = {cfg.extra[key]}" for key in sorted(cfg.extra)]
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(text):
     """Parse the flat text form; unlisted canonical fields fall back to
     the experiment's defaults."""
@@ -231,19 +238,18 @@ def parse_config(text):
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        try:
+            raw[key] = int(value) if key in FIELDS else value
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}={value!r}: {exc}") from None
     if "experiment" not in raw:
         raise ValueError("config must name an experiment")
     experiment = raw.pop("experiment")
-    fields = {key: int(value) if key in _INT_FIELDS else value
-              for key, value in raw.items() if key in _CANONICAL}
-    extra = {key: value for key, value in raw.items() if key not in _CANONICAL}
+    fields = {key: value for key, value in raw.items()
+              if key in (*FIELDS, "output_dir")}
+    extra = {key: value for key, value in raw.items() if key not in fields}
     return default_config(experiment, extra=extra, **fields)
-
-
-def write_config(path, cfg):
-    Path(path).write_text(emit_config(cfg), encoding="utf-8")
-    return Path(path)
 
 
 def read_config(path):
@@ -269,15 +275,17 @@ def _iters_to_target(trace):
     return int(trace.iters[-1]) if trace.converged else None
 
 
-def _walk_trials(cfg, out, files, health, steps_csv=False):
+def _walk_trials(cfg, out, files, steps_csv=False):
     """Per trial: draw the seeded Gaussian system, walk it, and write
     ``sigma_traj_<seed>.csv`` (and ``steps_<seed>.csv`` if asked).
 
-    Yields (seed, snapshots). Each trial's walk health (the largest
-    residual at x_ref, the skipped steps, and the cumulative
-    log-amplification sum -1/2 log(1 - c^2) that b went through) is
-    appended to ``health``; the step log itself is dropped before the
-    next trial, since long runs log millions of steps."""
+    Returns (runs, shared): each trial's (seed, snapshots), and the report
+    fields every walk experiment writes: the shape and the walk health
+    (the largest residual at x_ref, the skipped steps, and the largest
+    cumulative log-amplification sum -1/2 log(1 - c^2) that b went
+    through). Each step log is dropped before the next trial, since long
+    runs log millions of steps."""
+    runs, health = [], []
     for t in range(cfg.trials):
         seed = cfg.seed + t
         system = systems.gaussian_system(cfg.m, cfg.n, seed)
@@ -292,13 +300,12 @@ def _walk_trials(cfg, out, files, health, steps_csv=False):
             float(-0.5 * np.log1p(-log.c[~log.skipped] ** 2).sum()),
         ))
         del log
-        yield seed, snaps
-
-
-def _health_report(health):
+        runs.append((seed, snaps))
     residual, skipped, log_amp = zip(*health)
-    return {"residual_inf_max": max(residual), "steps_skipped": sum(skipped),
-            "log_amp_max": max(log_amp)}
+    return runs, {
+        "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
+        "residual_inf_max": max(residual), "steps_skipped": sum(skipped),
+        "log_amp_max": max(log_amp)}
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +318,8 @@ def exp_square_walk(cfg, out, files):
     The curves are evaluated for singular value index ``ell`` (extra key,
     default n, i.e. the smallest)."""
     ell = _ell(cfg)
-    health = []
-    runs = [snaps for _, snaps in
-            _walk_trials(cfg, out, files, health, steps_csv=True)]
+    walked, shared = _walk_trials(cfg, out, files, steps_csv=True)
+    runs = [snaps for _, snaps in walked]
 
     ks = np.array([snap.k for snap in runs[0]], dtype=np.int64)
     sig_ell = np.array([[snap.sigmas[ell - 1] for snap in snaps] for snaps in runs])
@@ -331,7 +337,7 @@ def exp_square_walk(cfg, out, files):
         ks, linear, logistic))
 
     return {
-        "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
+        **shared,
         "ell": ell,
         "sigma0_median": sigma0,
         "sigma_final_median": float(median[-1]),
@@ -339,7 +345,6 @@ def exp_square_walk(cfg, out, files):
         "pred_logistic_final": float(logistic[-1]),
         "frob_dev_max": max(
             abs(snap.frob_sq - cfg.m) for snaps in runs for snap in snaps),
-        **_health_report(health),
     }
 
 
@@ -348,10 +353,10 @@ def exp_overdetermined(cfg, out, files):
 
     The histogram pools final singular values over all trials into 20
     bins; condition numbers are reported per trial."""
-    health = []
+    runs, shared = _walk_trials(cfg, out, files)
     finals = []
     trials = []
-    for seed, snaps in _walk_trials(cfg, out, files, health):
+    for seed, snaps in runs:
         finals.append(snaps[-1].sigmas)
         trials.append({
             "seed": seed,
@@ -368,12 +373,11 @@ def exp_overdetermined(cfg, out, files):
 
     improved = sum(1 for tr in trials if tr["cond_final"] < tr["cond_initial"])
     return {
-        "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
+        **shared,
         "trial_conds": trials,
         "fraction_cond_improved": improved / cfg.trials,
         "sigma_final_min": float(pooled.min()),
         "sigma_final_max": float(pooled.max()),
-        **_health_report(health),
     }
 
 
@@ -382,10 +386,10 @@ def exp_n_plus_one(cfg, out, files):
 
     Tracks how the top singular value approaches sqrt(2) while all the
     others settle at 1."""
-    health = []
+    runs, shared = _walk_trials(cfg, out, files)
     trials = []
     sqrt2 = float(np.sqrt(2.0))
-    for seed, snaps in _walk_trials(cfg, out, files, health):
+    for seed, snaps in runs:
         first, last = snaps[0], snaps[-1]
         trials.append({
             "seed": seed,
@@ -396,11 +400,10 @@ def exp_n_plus_one(cfg, out, files):
             "frob_dev_final": abs(last.frob_sq - cfg.m),
         })
     return {
-        "m": cfg.m, "n": cfg.n, "steps": cfg.steps, "trials": cfg.trials,
+        **shared,
         "trial_gaps": trials,
         "sigma1_gap_final_max": max(tr["sigma1_gap_final"] for tr in trials),
         "rest_dev_final_max": max(tr["rest_dev_final"] for tr in trials),
-        **_health_report(health),
     }
 
 

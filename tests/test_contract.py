@@ -1,6 +1,8 @@
 """Guards for names that code outside the package looks up: the
 benchmark under ``perfbench/``, the demos and every ``__all__`` export."""
 
+import argparse
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kacwalk
-from kacwalk import experiments
+from kacwalk import cli, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +40,37 @@ def test_benchmark_captures_pipeline_walks(tmp_path, monkeypatch):
     assert len(rec.walks) == 2 and len(rec.circles) == 1
     walked, log, snaps = rec.walks[0]
     assert (walked.m, len(log), [s.k for s in snaps]) == (6, 20, [0, 10, 20])
+
+
+def test_fields_table_drives_the_config_and_every_subcommand():
+    config_ints = [f.name for f in dataclasses.fields(
+        experiments.ExperimentConfig) if f.type is int]
+    assert sorted(experiments.FIELDS) == sorted(config_ints)
+    flags = ["--" + name.replace("_", "-") for name in experiments.FIELDS]
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(experiments.EXPERIMENTS)
+    for sp in sub.choices.values():
+        assert [action.option_strings for action in sp._actions] == [
+            ["-h", "--help"], ["--config"], *([flag] for flag in flags),
+            ["--out"], ["-x", "--extra"]]
+    # perfbench/setup_probe.py resolves a kkw command line this way; each
+    # flag must land on its own field.
+    values = {name: lowest + 7 + k for k, (name, (lowest, _))
+              in enumerate(experiments.FIELDS.items())}
+    argv = ["square_walk", "--out", "runs"]
+    for flag, value in zip(flags, values.values()):
+        argv += [flag, str(value)]
+    cfg = cli.resolve_config(parser.parse_args(argv))
+    assert {name: getattr(cfg, name) for name in values} == values
+    assert cfg.output_dir == "runs"
+    # and a value below a field's floor is refused, naming the field.
+    for flag, (name, (lowest, _)) in zip(flags, experiments.FIELDS.items()):
+        args = parser.parse_args(["square_walk", flag, str(lowest - 1)])
+        with pytest.raises(ValueError, match=(
+                f"^{name} must be >= {lowest}, got {lowest - 1}$")):
+            cli.resolve_config(args)
 
 
 MODULES = ["kacwalk"] + sorted(

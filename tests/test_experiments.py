@@ -7,19 +7,28 @@ from kacwalk.experiments import (
     EXTRAS,
     ExperimentConfig,
     default_config,
-    emit_config,
     parse_config,
     run_experiment,
-    write_config,
 )
 
 # ------------------------------------------------------------------ config
 
 
-def test_config_emit_parse_round_trip():
-    cfg = default_config("square_walk", output_dir="/tmp/x",
-                         seed=3, steps=50, extra={"ell": "4"})
-    assert parse_config(emit_config(cfg)) == cfg
+def test_parse_config_reads_every_field_and_an_extra():
+    text = """
+    experiment = square_walk
+    m = 12
+    n = 12
+    seed = 3
+    steps = 50
+    snapshot_every = 5
+    output_dir = runs/sq
+    trials = 2
+    ell = 4
+    """
+    assert parse_config(text) == ExperimentConfig(
+        experiment="square_walk", m=12, n=12, seed=3, steps=50,
+        snapshot_every=5, output_dir="runs/sq", trials=2, extra={"ell": "4"})
 
 
 def test_parse_config_comments_defaults_and_extras():
@@ -45,6 +54,10 @@ def test_parse_config_errors():
         parse_config("experiment = warp_drive\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config("experiment = circle\nnonsense line\n")
+    with pytest.raises(ValueError, match="^line 3: m='abc': "):
+        parse_config("experiment = circle\n\nm = abc\n")
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        parse_config("experiment = circle\nseed = -1\n")
 
 
 def test_config_validation():
@@ -284,8 +297,8 @@ def test_cli_runs_and_prints_files(tmp_path, capsys):
 
 def test_cli_overrides_and_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
-    write_config(cfg_path, default_config("square_walk", m=8, n=8, steps=20,
-                                          snapshot_every=10, trials=1))
+    cfg_path.write_text("experiment = square_walk\nm = 8\nn = 8\n"
+                        "steps = 20\nsnapshot_every = 10\ntrials = 1\n")
     code = cli.main(["square_walk", "--config", str(cfg_path),
                      "--seed", "5", "--out", str(tmp_path / "out")])
     assert code == 0
@@ -325,7 +338,10 @@ def test_cli_rejects_extras_the_experiment_does_not_read(tmp_path, capsys,
     (["solver_compare", "-x", "max_iters=many"], "max_iters='many'"),
     (["theorem_audit", "-x", "shapes=3"], "shapes='3'"),
     (["solver_compare", "-x", "budgets=-5"], "budgets='-5'"),
-], ids=["meanfield", "budgets", "max_iters", "shapes", "budgets-negative"])
+    (["solver_compare", "-x", "max_iters=0"], "max_iters='0'"),
+    (["theorem_audit", "-x", "shapes=4x4,3x1"], "shapes='4x4,3x1'"),
+], ids=["meanfield", "budgets", "max_iters", "shapes", "budgets-negative",
+        "max_iters-zero", "shapes-one-column"])
 def test_cli_rejects_bad_extra_values_before_any_work(tmp_path, capsys,
                                                       argv, bad):
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
@@ -351,8 +367,12 @@ def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
     ["square_walk", "--m", "6", "--n", "6", "-x", "ell=9"],
     ["square_walk", "--m", "1", "--n", "1"],
     ["circle", "--m", "1"],
+    ["square_walk", "--m", "6", "--n", "6", "--steps", "10", "--trials", "1",
+     "--seed", "-1"],
+    ["theorem_audit", "--seed", "-3"],
 ], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell",
-        "square_walk-m1", "circle-m1"])
+        "square_walk-m1", "circle-m1", "square_walk-seed-negative",
+        "theorem_audit-seed-negative"])
 def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "d")])
     assert code == 1
@@ -368,7 +388,7 @@ def test_cli_error_paths(tmp_path, capsys):
     assert err.startswith("kkw: error:") and err.count("\n") == 1
 
     cfg_path = tmp_path / "c.cfg"
-    write_config(cfg_path, default_config("circle"))
+    cfg_path.write_text("experiment = circle\n")
     code = cli.main(["square_walk", "--config", str(cfg_path)])
     assert code == 1
     assert "circle" in capsys.readouterr().err

@@ -291,6 +291,42 @@ def test_integrate_and_decay_fit_take_the_same_substeps(monkeypatch):
     assert steps[len(integrated):] == integrated
 
 
+def _cosine_angles(count, mode, rel_amp, seed):
+    """count angles drawn from (1 + rel_amp cos(mode x)) / (2 pi) by
+    rejection sampling."""
+    rng = np.random.default_rng(seed)
+    kept = np.empty(0)
+    while kept.size < count:
+        x = rng.uniform(0.0, TWO_PI, count)
+        height = rng.uniform(0.0, 1.0 + rel_amp, count)
+        below = height < 1.0 + rel_amp * np.cos(mode * x)
+        kept = np.concatenate([kept, x[below]])
+    return kept[:count]
+
+
+_ODD_MODE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: meanfield._rhs gives odd modes rates 1, 1 where the "
+    "circle walk decays them at 1 - 2/pi and 1 + 2/(3 pi)"))
+
+
+@pytest.mark.parametrize("mode", [pytest.param(1, marks=_ODD_MODE), 2,
+                                  pytest.param(3, marks=_ODD_MODE)])
+def test_circle_walk_mode_decay_matches_meanfield_over_unit_time(mode):
+    # m particles, m steps: t = 1 in the mean-field time scale.
+    m, rel_amp = 40000, 0.9
+    decays = []
+    for seed in (0, 1):
+        theta0 = _cosine_angles(m, mode, rel_amp, seed)
+        final, _, _ = run_circle_walk(CircleEnsemble(theta0), m, seed)
+        a0, a1 = (abs(np.exp(1j * mode * theta).mean())
+                  for theta in (theta0, final.angles))
+        decays.append(np.log(a0 / a1))
+    grid0 = cosine_grid(256, mode, rel_amp * UNIFORM_DENSITY)
+    grid1 = meanfield_integrate(grid0, 1.0, 0.005)
+    pde = np.log(mode_amplitude(grid0, mode) / mode_amplitude(grid1, mode))
+    assert abs(np.mean(decays) - pde) <= 0.1
+
+
 def test_fourier_decay_rate_validation():
     g = cosine_grid(64, 1, 1e-3)
     with pytest.raises(ValueError):

@@ -135,6 +135,17 @@ def test_tall_system_keeps_row_invariants():
     )
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: on tall systems rounding error in b grows in the left "
+    "null space of A; 31x30 seed 0 reaches 4.5e91"))
+def test_tall_walk_keeps_the_solution_over_100k_steps():
+    # The bound of acceptance criterion 2 and of perfbench's walk check.
+    system = gaussian_system(31, 30, 0)
+    _, _, snaps = run_walk(system, WalkConfig(seed=0, steps=100000,
+                                              snapshot_every=1000))
+    assert max(snap.residual_inf for snap in snaps) <= 1e-8
+
+
 def test_identity_rows_are_a_bitwise_fixed_point():
     # Orthonormal rows give c = 0 for every pair, so nothing ever moves.
     x = np.array([1.5, -2.0, 0.25])
