@@ -18,13 +18,17 @@ the grid size is divisible by 4 so the quarter-turn shifts are plain
 index rotations, and the window integrals weight the two boundary cells
 by one half, which makes the total mass a conserved quantity of the
 spatial discretization itself (not just of the time integrator) and
-makes the uniform density exactly stationary.
+makes the uniform density exactly stationary. The window sums are row
+sums of a strided view over one wrapped copy of u: O(N) memory, and the
+same values added in the same order at every grid point, so the
+operator commutes with grid rotations bit for bit.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from kacwalk import linalg
 from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, sample_pair
@@ -199,9 +203,10 @@ def uniform_grid(N):
 
 def cosine_grid(N, mode, amplitude=1e-3):
     """Uniform density plus amplitude * cos(mode * x); the perturbation
-    must keep the density positive (amplitude < 1/(2*pi))."""
-    if mode < 1:
-        raise ValueError(f"mode must be >= 1, got {mode}")
+    must keep the density positive (amplitude < 1/(2*pi)), and mode must
+    lie in [1, N/2): on N cells a higher mode aliases onto N - mode."""
+    if not 1 <= mode < N // 2:
+        raise ValueError(f"mode must lie in [1, {N // 2}), got {mode}")
     if not 0.0 <= amplitude < UNIFORM_DENSITY:
         raise ValueError(
             f"amplitude must lie in [0, {UNIFORM_DENSITY:.6f}), got {amplitude}"
@@ -210,34 +215,26 @@ def cosine_grid(N, mode, amplitude=1e-3):
     return DensityGrid(UNIFORM_DENSITY + amplitude * np.cos(mode * x), t=0.0)
 
 
-_WINDOW_IDX = {}
-
-
-def _window_index(N):
-    # idx[k, i] = (i + off_k) mod N for offsets -(q-1) .. q-1, cached per N.
-    idx = _WINDOW_IDX.get(N)
-    if idx is None:
-        q = N // 4
-        offs = np.arange(-(q - 1), q)
-        idx = (offs[:, None] + np.arange(N)[None, :]) % N
-        _WINDOW_IDX[N] = idx
-    return idx
-
-
 def _rhs(u, N):
     # Window sum: interior cells at full weight, the two cells whose
     # centers sit exactly on the window endpoints at half weight. This
     # trapezoid-on-the-circle choice is what makes mass exactly conserved
-    # by the spatial operator. The gather-and-reduce adds the same value
-    # sequence at every grid point, so the operator still commutes with
-    # grid rotations bit for bit.
+    # by the spatial operator. ring is u wrapped by q cells on each side,
+    # and the read-only (2q-1, N) strided view over ring[1:] holds
+    # u[i + k - q + 1] at (k, i). Summing its rows adds the same value
+    # sequence at every grid point, so the operator commutes with grid
+    # rotations bit for bit, in O(N) memory. ring[:N] and ring[2q:] are
+    # u[i - q] and u[i + q], the two quarter-turn sources.
     q = N // 4
-    w = u[_window_index(N)].sum(axis=0)
-    w += 0.5 * (np.roll(u, q) + np.roll(u, -q))
+    ring = np.concatenate((u[N - q:], u, u[:q]))
+    s = ring.strides[0]
+    window = as_strided(ring[1:], (2 * q - 1, N), (s, s), writeable=False)
+    w = window.sum(axis=0)
+    w += 0.5 * (ring[:N] + ring[2 * q:])
     h = TWO_PI / N
     i_minus = h * w
-    i_plus = h * np.roll(w, -(N // 2))
-    return -u + np.roll(u, -q) * i_minus + np.roll(u, q) * i_plus
+    i_plus = h * np.concatenate((w[N // 2:], w[:N // 2]))
+    return -u + ring[2 * q:] * i_minus + ring[:N] * i_plus
 
 
 def meanfield_rhs(grid):

@@ -187,6 +187,54 @@ def test_uniform_and_cosine_grids():
         cosine_grid(64, 0, 1e-3)
     with pytest.raises(ValueError):
         cosine_grid(64, 1, 1.0)
+    # Modes from N/2 up alias (on 64 cells mode 40 samples mode 24), so
+    # they are refused with mode_amplitude's range.
+    for mode in (32, 40):
+        with pytest.raises(ValueError, match=rf"\[1, 32\), got {mode}"):
+            cosine_grid(64, mode, 1e-3)
+    assert mode_amplitude(cosine_grid(64, 31, 1e-3), 31) == pytest.approx(
+        1e-3, rel=1e-10)
+
+
+def _reference_rhs(u, N):
+    """The window sum as a gather of an explicit (N/2 - 1) x N offset
+    table reduced along its first axis, with np.roll for the shifts."""
+    q = N // 4
+    offs = np.arange(-(q - 1), q)
+    idx = (offs[:, None] + np.arange(N)[None, :]) % N
+    w = u[idx].sum(axis=0)
+    w += 0.5 * (np.roll(u, q) + np.roll(u, -q))
+    h = TWO_PI / N
+    i_minus = h * w
+    i_plus = h * np.roll(w, -(N // 2))
+    return -u + np.roll(u, -q) * i_minus + np.roll(u, q) * i_plus
+
+
+@pytest.mark.parametrize("N", [4, 8, 12, 64, 256, 1024])
+def test_rhs_matches_gather_reference_bitwise(N):
+    rng = np.random.default_rng(N)
+    for _ in range(5):
+        u = rng.uniform(0.01, 2.0, size=N)
+        assert meanfield._rhs(u, N).tobytes() == _reference_rhs(u, N).tobytes()
+
+
+def test_integrate_matches_gather_reference_bitwise(monkeypatch):
+    grid = cosine_grid(256, 1, 0.1)
+    fast = meanfield_integrate(grid, 2.0, 0.005)
+    monkeypatch.setattr(meanfield, "_rhs", _reference_rhs)
+    ref = meanfield_integrate(grid, 2.0, 0.005)
+    assert fast.u.tobytes() == ref.u.tobytes()
+
+
+def test_rhs_leaves_input_alone_and_owns_its_result():
+    rng = np.random.default_rng(14)
+    u = rng.uniform(0.5, 1.5, size=64)
+    grid = DensityGrid(u / (u.sum() * (TWO_PI / 64)))
+    before = grid.u.copy()
+    rhs = meanfield_rhs(grid)
+    assert np.array_equal(grid.u, before)
+    assert not np.shares_memory(rhs, grid.u)
+    assert rhs.flags.owndata and rhs.flags.writeable
 
 
 def test_rhs_zero_on_uniform_density():
