@@ -6,8 +6,20 @@ back to unit length; the right-hand side entry b_j gets the matching
 update, so the solution set never changes. Repeated steps drive the rows
 toward mutual orthogonality while the squared Frobenius norm stays pinned
 at the row count.
+
+``walk_step`` is the reference kernel: one step, read then write.
+``run_walk`` calls it once per step on small systems. On systems with at
+least 16 rows, unless snapshots come more often than every 16 steps, it
+applies the same steps one dependency level at a time: a level is a set
+of steps that all read their rows before any of them writes its row j,
+gathered, updated with walk_step's formulas as whole-array operations
+and scattered back. Levels never cross a snapshot or a 4096-step
+segment, and ``np.vecdot`` over rows of unit stride calls the same BLAS
+``ddot`` as ``ndarray.dot``, so the rows, the log and every snapshot are
+bit for bit those of the per-step loop.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +50,11 @@ REFERENCE_RESIDUAL_TOL = 1e-10
 DEGENERATE_TOL = 1e-12
 # Walk loops draw their row indices this many at a time.
 _DRAW_BLOCK = 4096
+# run_walk applies the steps of systems with at least this many rows one
+# dependency level at a time, unless snapshots come more often than every
+# _LEVEL_MIN_STEPS steps; otherwise it calls walk_step once per step.
+_LEVEL_MIN_ROWS = 16
+_LEVEL_MIN_STEPS = 16
 
 
 @dataclass
@@ -160,7 +177,8 @@ class _BlockDraws:
     ``rng.integers(m, size=K)`` yields exactly the values of K scalar
     ``rng.integers(m)`` calls, so a walk driven through this source takes
     the same pairs as one that draws each index on its own, at a fraction
-    of the interpreter cost. Any other bound is refused.
+    of the interpreter cost. Any other bound is refused. ``pairs(count)``
+    serves count pairs of sample_pair's rule from the same stream at once.
     """
 
     __slots__ = ("_rng", "_m", "_block", "_pos")
@@ -180,6 +198,36 @@ class _BlockDraws:
             pos = 0
         self._pos = pos + 1
         return self._block[pos]
+
+    def pairs(self, count):
+        """The next count pairs that ``sample_pair(self, m)`` would draw,
+        as a list of i and a list of j, from the same stream."""
+        left = self._block[self._pos:]
+        fetched = []
+
+        def refill():
+            while True:
+                fetched.append(self._rng.integers(self._m, size=_DRAW_BLOCK)
+                               .tolist())
+                yield from fetched[-1]
+
+        draw = itertools.chain(left, refill()).__next__
+        ii, jj = [], []
+        used = 2 * count
+        for _ in range(count):
+            i = draw()
+            j = draw()
+            while j == i:
+                j = draw()
+                used += 1
+            ii.append(i)
+            jj.append(j)
+        if fetched:
+            self._block = fetched[-1]
+            self._pos = used - len(left) - _DRAW_BLOCK * (len(fetched) - 1)
+        else:
+            self._pos += used
+        return ii, jj
 
 
 def sample_pair(rng, m):
@@ -268,6 +316,16 @@ def residual_at_reference(system):
 def run_walk(system, config):
     """Run config.steps sampled updates on a copy of the system.
 
+    The pairs are those of one sample_pair call per step on one generator,
+    and every step is walk_step's update. Systems with fewer than
+    _LEVEL_MIN_ROWS rows, and runs with snapshots closer than
+    _LEVEL_MIN_STEPS steps, call sample_pair and walk_step once per step.
+    Otherwise the run goes in segments that end at each snapshot and after
+    at most _DRAW_BLOCK steps: a segment's pairs are drawn in one go, and
+    its steps are applied one dependency level at a time (_walk_levels).
+    Within a level every read comes before any write, so the rows, the
+    log and the snapshots come out bit for bit those of the per-step loop.
+
     Returns
     -------
     (LinearSystem, StepLog, list of SpectrumSnapshot)
@@ -284,12 +342,93 @@ def run_walk(system, config):
     log = StepLog(steps)
     log_i, log_j, log_c, log_skipped = log.i, log.j, log.c, log.skipped
     snapshots = [take_snapshot(work, 0)]
-    for p in range(steps):
-        i, j = sample_pair(rng, m)
-        log_i[p] = i
-        log_j[p] = j
-        log_c[p], log_skipped[p] = walk_step(work, i, j)
-        k = p + 1
+    if m < _LEVEL_MIN_ROWS or every < _LEVEL_MIN_STEPS:
+        for p in range(steps):
+            i, j = sample_pair(rng, m)
+            log_i[p] = i
+            log_j[p] = j
+            log_c[p], log_skipped[p] = walk_step(work, i, j)
+            k = p + 1
+            if k % every == 0 or k == steps:
+                snapshots.append(take_snapshot(work, k))
+        return work, log, snapshots
+    # Row p of W is [A_p, b_p]: one gather, update and scatter moves a row
+    # together with its right-hand side entry. A and b catch up with W at
+    # each snapshot, and the last segment always ends in one.
+    A, b = work.A, work.b
+    W = np.column_stack((A, b))
+    p = 0
+    while p < steps:
+        k = min(steps, p + _DRAW_BLOCK, (p // every + 1) * every)
+        _walk_levels(W, *rng.pairs(k - p), log, p)
+        p = k
         if k % every == 0 or k == steps:
+            A[...] = W[:, :-1]
+            b[...] = W[:, -1]
             snapshots.append(take_snapshot(work, k))
     return work, log, snapshots
+
+
+def _walk_levels(W, ii, jj, log, p):
+    """Apply the pairs (ii[q], jj[q]) in order, as steps p + q + 1 of log,
+    to the rows [A_i, b_i] of W, one dependency level at a time.
+
+    A step's level is the first after every earlier write to either of
+    its rows, and no earlier than any earlier read of its row j. In a
+    level every step reads before any step writes, and no two steps write
+    the same row, so each read sees what it would in the sequential loop.
+    The arithmetic is walk_step's, op for op (np.vecdot over rows of unit
+    stride calls the same BLAS ddot as ndarray.dot), so W and the log come
+    out bit for bit those of walk_step run in order.
+    """
+    m, n = W.shape[0], W.shape[1] - 1
+    readable = [0] * m   # first level that sees a row's last write
+    read = [0] * m       # last level that read a row
+    levels = []
+    for i, j in zip(ii, jj):
+        lev = readable[i]
+        if readable[j] > lev:
+            lev = readable[j]
+        if read[j] > lev:
+            lev = read[j]
+        levels.append(lev)
+        readable[j] = lev + 1
+        read[j] = lev
+        if read[i] < lev:
+            read[i] = lev
+    k = p + len(levels)
+    log.i[p:k] = ii
+    log.j[p:k] = jj
+    levels = np.array(levels)
+    order = np.argsort(levels, kind="stable")
+    I = log.i[p:k].take(order)
+    J = log.j[p:k].take(order)
+    cs = []
+    start = 0
+    for stop in np.cumsum(np.bincount(levels)).tolist():
+        rows_j = J[start:stop]
+        Wi = W.take(I[start:stop], axis=0)
+        Wj = W.take(rows_j, axis=0)
+        start = stop
+        c = np.vecdot(Wi[:, :n], Wj[:, :n], keepdims=True)
+        cs.append(c)
+        rest = 1.0 - c * c
+        skip = rest < DEGENERATE_TOL
+        if np.count_nonzero(skip):
+            keep = ~skip[:, 0]
+            Wi, Wj, c, rest, rows_j = (Wi[keep], Wj[keep], c[keep],
+                                       rest[keep], rows_j[keep])
+        scale = np.sqrt(rest)
+        # A_j -= c A_i, A_j /= scale, A_j /= r as in walk_step; on the last
+        # column the same ops give b_j = (b_j - c b_i) / scale / r.
+        Wi *= c
+        Wj -= Wi
+        Wj /= scale
+        Aj = Wj[:, :n]
+        r = np.vecdot(Aj, Aj, keepdims=True)
+        Wj /= np.sqrt(r, out=r)
+        W[rows_j] = Wj
+    c = np.concatenate(cs)[:, 0]
+    log.skipped[p:k][order] = 1.0 - c * c < DEGENERATE_TOL
+    # walk_step clamps the c of a skipped pair; |c| < 1 on every other.
+    log.c[p:k][order] = np.clip(c, -1.0, 1.0)

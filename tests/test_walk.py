@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacwalk import io, linalg
+from kacwalk import io, linalg, walk
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import (
     _DRAW_BLOCK,
+    _LEVEL_MIN_ROWS,
+    _LEVEL_MIN_STEPS,
     LinearSystem,
     WalkConfig,
     _BlockDraws,
@@ -269,6 +271,18 @@ def test_block_draws_refuse_another_bound():
         blocks.integers(4)
 
 
+@pytest.mark.parametrize("m", [2, 3, 16, 31])
+def test_block_draws_pairs_match_sample_pair_across_blocks(m):
+    # pairs(count) must leave the source where count sample_pair calls
+    # would, also when a block runs out between i and j or mid-rejection.
+    scalar = np.random.default_rng(m)
+    blocks = _BlockDraws(np.random.default_rng(m), m)
+    for count in (1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3, 2 * _DRAW_BLOCK + 5):
+        assert (list(zip(*blocks.pairs(count)))
+                == [sample_pair(scalar, m) for _ in range(count)])
+        assert blocks.integers(m) == int(scalar.integers(m))
+
+
 # ------------------------------------------------------------------- logs
 
 
@@ -281,25 +295,53 @@ def _duplicated_row_system():
     return LinearSystem(A, A @ sys0.x_ref, sys0.x_ref)
 
 
-@pytest.mark.parametrize("system,steps,skips", [
-    (make_system(8, 8, 13), 300, False),
-    (_duplicated_row_system(), 400, True),
-    (make_system(2, 2, 14), 3 * _DRAW_BLOCK + 7, False),
-    (make_system(3, 2, 15), 3 * _DRAW_BLOCK + 7, True),
-], ids=["8x8", "6x4-duplicated-row", "2x2-past-blocks", "3x2-past-blocks"])
+def _tall_duplicated_rows_system():
+    # 16x2 with rows 8-15 copies of rows 0-7: many pairs start out
+    # parallel, and in the plane the rows keep piling onto two orthogonal
+    # directions, so skipped and applied steps keep sharing levels.
+    sys0 = make_system(16, 2, 20)
+    A = sys0.A.copy()
+    A[8:] = A[:8]
+    return LinearSystem(A, A @ sys0.x_ref, sys0.x_ref)
+
+
+@pytest.mark.parametrize("system,steps,every,skips", [
+    (make_system(8, 8, 13), 300, 300, False),
+    (_duplicated_row_system(), 400, 400, True),
+    (make_system(2, 2, 14), 3 * _DRAW_BLOCK + 7, 3 * _DRAW_BLOCK + 7, False),
+    (make_system(3, 2, 15), 3 * _DRAW_BLOCK + 7, 3 * _DRAW_BLOCK + 7, True),
+    (make_system(31, 30, 16), 2 * _DRAW_BLOCK + 7, 1000, False),
+    (make_system(31, 30, 17), 3 * _DRAW_BLOCK, _DRAW_BLOCK + 904, False),
+    (make_system(100, 100, 18), 2000, 100, False),
+    (_tall_duplicated_rows_system(), 3000, 500, True),
+    (make_system(24, 20, 19), 1000, None, False),
+], ids=["8x8", "6x4-duplicated-row", "2x2-past-blocks", "3x2-past-blocks",
+        "31x30-every-1000", "31x30-segments-at-block-cap", "100x100-every-100",
+        "16x2-duplicated-rows", "24x20-default-stride"])
 def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
-                                                  skips):
+                                                  every, skips):
     # run_walk must be exactly sample_pair + walk_step applied in order
     # on one generator drawing scalars; a faster engine gets checked
-    # against this replay. The two small cases cross several draw blocks,
-    # with j redrawn whenever it hits i.
-    cfg = WalkConfig(seed=21, steps=steps, snapshot_every=steps)
-    final, log, _ = run_walk(system, cfg)
+    # against this replay. The 2x2 and 3x2 cases cross several draw
+    # blocks, with j redrawn whenever it hits i. The cases with 16 or more
+    # rows run the dependency-level engine, whose segments end at
+    # snapshots and, with snapshots more than _DRAW_BLOCK steps apart, at
+    # that cap.
+    cfg = WalkConfig(seed=21, steps=steps, snapshot_every=every)
+    final, log, snaps = run_walk(system, cfg)
     ref = system.copy()
     rng = np.random.default_rng(cfg.seed)
     pairs = [sample_pair(rng, ref.m) for _ in range(steps)]
     i, j = (np.array(col, dtype=np.int64) for col in zip(*pairs))
-    c, skipped = zip(*(walk_step(ref, p, q) for p, q in pairs))
+    stride = ref.n if every is None else every
+    ref_snaps = [take_snapshot(ref, 0)]
+    c, skipped = [], []
+    for k, (p, q) in enumerate(pairs, start=1):
+        ck, sk = walk_step(ref, p, q)
+        c.append(ck)
+        skipped.append(sk)
+        if k % stride == 0 or k == steps:
+            ref_snaps.append(take_snapshot(ref, k))
     assert np.array_equal(log.i, i)
     assert np.array_equal(log.j, j)
     assert np.array_equal(log.c, np.array(c))
@@ -307,8 +349,38 @@ def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
     assert np.array_equal(final.A, ref.A)
     assert np.array_equal(final.b, ref.b)
     assert log.skipped.any() == skips
+    assert [s.k for s in snaps] == [s.k for s in ref_snaps]
+    for got, want in zip(snaps, ref_snaps):
+        assert np.array_equal(got.sigmas, want.sigmas)
+        assert got.frob_sq == want.frob_sq
+        assert got.residual_inf == want.residual_inf
     k = io.read_steps_csv(io.write_steps_csv(tmp_path / "steps.csv", log))[0]
     assert np.array_equal(k, np.arange(1, steps + 1))
+
+
+@pytest.mark.parametrize("m,n,every,calls", [
+    (10, 10, None, 137),
+    (31, 30, _LEVEL_MIN_STEPS - 1, 137),
+    (31, 30, None, 0),
+], ids=["10x10", "31x30-short-stride", "31x30-levels"])
+def test_run_walk_calls_per_step_kernels_only_below_the_level_threshold(
+        monkeypatch, m, n, every, calls):
+    # Systems below _LEVEL_MIN_ROWS rows, and runs with snapshots closer
+    # than _LEVEL_MIN_STEPS steps, call sample_pair and walk_step through
+    # the module once per step; perfbench's tracer counts exactly those
+    # calls (perfbench/selftest.py walks 10x10). Larger runs use the
+    # level engine, which calls neither.
+    assert _LEVEL_MIN_ROWS > 10
+    counts = {}
+    for name in ("sample_pair", "walk_step"):
+        def counted(*args, _real=getattr(walk, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(walk, name, counted)
+    run_walk(make_system(m, n, 22),
+             WalkConfig(seed=1, steps=137, snapshot_every=every))
+    assert counts.get("sample_pair", 0) == calls
+    assert counts.get("walk_step", 0) == calls
 
 
 def test_config_validation():
