@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, sample_pair
+from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, _segment_end
 
 __all__ = [
     "TWO_PI",
@@ -126,6 +126,13 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     (step, order_parameter_4) pairs taken at step 0, every sample_every
     steps (None records only the endpoints), and the final step; skipped
     counts degenerate pairs left unchanged.
+
+    The run goes in segments that end at each sample point and after at
+    most _DRAW_BLOCK steps, as run_walk's do. A segment's pairs are drawn
+    in one go from the block stream (_BlockDraws.pairs), which yields the
+    pairs of one sample_pair call per step on the same generator, and
+    each is applied by one _step_angles call, so the angles, the samples
+    and skipped are those of the per-step loop bit for bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -139,12 +146,17 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     theta = ensemble.angles.tolist()
     rng = _BlockDraws(np.random.default_rng(seed), n)
     samples = [(0, _order4(np.array(theta)))]
+    # With no stride the only sample points are the two endpoints.
+    every = sample_every or steps
     skipped = 0
-    for k in range(1, steps + 1):
-        i, j = sample_pair(rng, n)
-        if not _step_angles(theta, i, j):
-            skipped += 1
-        if (sample_every is not None and k % sample_every == 0) or k == steps:
+    p = 0
+    while p < steps:
+        k = _segment_end(p, steps, every)
+        for i, j in zip(*rng.pairs(k - p)):
+            if not _step_angles(theta, i, j):
+                skipped += 1
+        p = k
+        if k % every == 0 or k == steps:
             samples.append((k, _order4(np.array(theta))))
     return CircleEnsemble(theta), samples, skipped
 

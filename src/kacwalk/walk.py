@@ -177,13 +177,17 @@ class _BlockDraws:
     ``rng.integers(m, size=K)`` yields exactly the values of K scalar
     ``rng.integers(m)`` calls, so a walk driven through this source takes
     the same pairs as one that draws each index on its own, at a fraction
-    of the interpreter cost. Any other bound is refused. ``pairs(count)``
-    serves count pairs of sample_pair's rule from the same stream at once.
+    of the interpreter cost. Any other bound is refused, and so is m < 2,
+    which has no pair. ``pairs(count)`` serves count pairs of
+    sample_pair's rule from the same stream at once.
     """
 
     __slots__ = ("_rng", "_m", "_block", "_pos")
 
     def __init__(self, rng, m):
+        # Below two there is no pair, and pairs() would reject forever.
+        if m < 2:
+            raise ValueError(f"need at least two rows to form a pair, got {m}")
         self._rng = rng
         self._m = m
         self._block = []
@@ -230,13 +234,22 @@ class _BlockDraws:
         return ii, jj
 
 
+def _segment_end(p, steps, every):
+    """Where a walk segment that starts after step p ends: at the next
+    multiple of every (a sample point), after at most _DRAW_BLOCK steps,
+    or at the last step, whichever comes first."""
+    return min(steps, p + _DRAW_BLOCK, (p // every + 1) * every)
+
+
 def sample_pair(rng, m):
     """Ordered pair (i, j) with i != j, uniform over all m(m-1) choices.
 
     rng is any source with an ``integers(m)`` method, such as a numpy
-    Generator; the walk loops pass a _BlockDraws over one, which yields
-    the same stream. j is drawn by rejection so every ordered pair has
-    exactly equal mass under the generator's raw integer stream.
+    Generator. run_walk's per-step loop passes a _BlockDraws over one,
+    which yields the same stream; the segment loops of run_walk and
+    run_circle_walk take the same pairs from _BlockDraws.pairs instead.
+    j is drawn by rejection so every ordered pair has exactly equal mass
+    under the generator's raw integer stream.
     """
     if m < 2:
         raise ValueError(f"need at least two rows to form a pair, got {m}")
@@ -359,7 +372,7 @@ def run_walk(system, config):
     W = np.column_stack((A, b))
     p = 0
     while p < steps:
-        k = min(steps, p + _DRAW_BLOCK, (p // every + 1) * every)
+        k = _segment_end(p, steps, every)
         _walk_levels(W, *rng.pairs(k - p), log, p)
         p = k
         if k % every == 0 or k == steps:

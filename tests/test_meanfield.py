@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kacwalk import meanfield
+from kacwalk import meanfield, walk
 from kacwalk.meanfield import (
     TWO_PI,
     UNIFORM_DENSITY,
@@ -142,11 +142,25 @@ def test_run_circle_walk_validation():
         run_circle_walk(random_circle_ensemble(1, seed=0), 10, seed=0)
 
 
-def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise():
-    # Past several draw blocks, the walk must be exactly sample_pair on a
-    # generator drawing scalars plus circle_step, skips and samples too.
-    ens = random_circle_ensemble(5, seed=3)
-    steps, every = 3 * _DRAW_BLOCK + 7, 1000
+@pytest.mark.parametrize("n,steps,every,skips", [
+    (5, 3 * _DRAW_BLOCK + 7, 1000, True),
+    (2, 2 * _DRAW_BLOCK, None, False),
+    (200, 2 * _DRAW_BLOCK + 5, _DRAW_BLOCK, True),
+    (6, 300, 1, True),
+    (4, 0, 10, False),
+    (7, 500, 1000, True),
+    (8, 5000, 768, True),
+], ids=["n5-past-blocks", "n2-half-rejected", "n200-samples-on-block-caps",
+        "every-step", "no-steps", "stride-past-end", "ragged-end"])
+def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise(
+        n, steps, every, skips):
+    # The walk must be exactly sample_pair on a generator drawing scalars
+    # plus circle_step, skips and samples too: past several draw blocks,
+    # with half the draws rejected (n = 2), with samples on the block caps,
+    # at every step, with no steps, and with a stride that passes or does
+    # not divide the step count. Two angles are perpendicular after one
+    # step and never skip again.
+    ens = random_circle_ensemble(n, seed=3)
     final, samples, skipped = run_circle_walk(ens, steps, seed=4,
                                               sample_every=every)
     rng = np.random.default_rng(4)
@@ -157,11 +171,32 @@ def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise():
         gap = np.sin(ref.angles[j] - ref.angles[i])
         ref_skipped += bool(abs(gap) < meanfield.SIN_TOL)
         ref = circle_step(ref, i, j)
-        if k % every == 0 or k == steps:
+        if (every is not None and k % every == 0) or k == steps:
             ref_samples.append((k, order_parameter_4(ref)))
     assert np.array_equal(final.angles, ref.angles)
     assert samples == ref_samples
-    assert skipped == ref_skipped > 0
+    assert skipped == ref_skipped
+    assert (skipped > 0) == skips
+
+
+def test_run_circle_walk_steps_through_step_angles_only(monkeypatch):
+    # One _step_angles call per step, and never sample_pair: the pairs
+    # come from the block stream a segment at a time.
+    calls = []
+
+    def counted(theta, i, j, _real=meanfield._step_angles):
+        calls.append((i, j))
+        return _real(theta, i, j)
+
+    def refused(*args):
+        raise AssertionError("run_circle_walk called sample_pair")
+
+    monkeypatch.setattr(meanfield, "_step_angles", counted)
+    monkeypatch.setattr(walk, "sample_pair", refused)
+    steps = 2 * _DRAW_BLOCK + 3
+    run_circle_walk(random_circle_ensemble(6, seed=1), steps, seed=2,
+                    sample_every=500)
+    assert len(calls) == steps
 
 
 # ------------------------------------------------------------------- grids

@@ -271,6 +271,12 @@ def test_block_draws_refuse_another_bound():
         blocks.integers(4)
 
 
+def test_block_draws_refuse_fewer_than_two_rows():
+    # At m = 1 every draw is 0, so pairs() would reject j forever.
+    with pytest.raises(ValueError, match="at least two rows"):
+        _BlockDraws(np.random.default_rng(0), 1)
+
+
 @pytest.mark.parametrize("m", [2, 3, 16, 31])
 def test_block_draws_pairs_match_sample_pair_across_blocks(m):
     # pairs(count) must leave the source where count sample_pair calls
