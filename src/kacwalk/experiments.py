@@ -150,6 +150,22 @@ def _pairs(c):
     return c.m < 2 and f"the walk needs m >= 2 (a row pair), got {c.m}"
 
 
+def _logistic_start(c):
+    # The logistic curve needs the median starting sigma_ell at most 1.
+    # At ell = n that always holds (sigma_n^2 <= ||A||_F^2 / n = 1 for
+    # unit rows), so only a smaller ell draws the trials' systems here.
+    ell = _ell(c)
+    if ell == c.n:
+        return False
+    sigma0 = float(np.median([
+        linalg.singular_values(
+            systems.gaussian_system(c.m, c.n, c.seed + t).A)[ell - 1]
+        for t in range(c.trials)]))
+    return sigma0 > 1.0 and (
+        f"median starting value {sigma0:.3f} exceeds 1; the logistic "
+        f"prediction needs a smaller singular value index than {ell}")
+
+
 # Per pipeline, checks that return why a config does not suit it (or a
 # false value). run_experiment runs them before it creates the output
 # directory; building the config cannot, as a config file may set m and
@@ -160,7 +176,8 @@ REQUIRES = {
         _pairs,
         lambda c: c.m != c.n and "square_walk needs m == n",
         lambda c: not 1 <= _ell(c) <= c.n
-        and f"ell must lie in [1, {c.n}], got {_ell(c)}"),
+        and f"ell must lie in [1, {c.n}], got {_ell(c)}",
+        _logistic_start),
     "overdetermined": (lambda c: c.m <= c.n and "overdetermined needs m > n",),
     "n_plus_one": (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",),
     "circle": (
@@ -325,11 +342,6 @@ def exp_square_walk(cfg, out, files):
     sig_ell = np.array([[snap.sigmas[ell - 1] for snap in snaps] for snaps in runs])
     median = np.median(sig_ell, axis=0)
     sigma0 = float(median[0])
-    if sigma0 > 1.0:
-        raise ValueError(
-            f"median starting value {sigma0:.3f} exceeds 1; the logistic "
-            f"prediction needs a smaller singular value index than {ell}"
-        )
     linear = predict_linear(cfg.n, sigma0, ks)
     logistic = predict_logistic(cfg.n, sigma0, ks)
     files.append(io.write_series_csv(

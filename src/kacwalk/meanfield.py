@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, _segment_end
+from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, _segments
 
 __all__ = [
     "TWO_PI",
@@ -127,12 +127,13 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     steps (None records only the endpoints), and the final step; skipped
     counts degenerate pairs left unchanged.
 
-    The run goes in segments that end at each sample point and after at
-    most _DRAW_BLOCK steps, as run_walk's do. A segment's pairs are drawn
-    in one go from the block stream (_BlockDraws.pairs), which yields the
-    pairs of one sample_pair call per step on the same generator, and
-    each is applied by one _step_angles call, so the angles, the samples
-    and skipped are those of the per-step loop bit for bit.
+    The run goes through run_walk's segment loop (walk._segments):
+    segments end at each sample point and after at most _DRAW_BLOCK
+    steps, and each comes with its pairs, read from one _BlockDraws
+    stream under sample_pair's rule, so they are the pairs of one
+    sample_pair call per step on the same generator. Each pair is
+    applied by one _step_angles call, so the angles, the samples and
+    skipped are those of the per-step loop bit for bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -149,13 +150,10 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     # With no stride the only sample points are the two endpoints.
     every = sample_every or steps
     skipped = 0
-    p = 0
-    while p < steps:
-        k = _segment_end(p, steps, every)
-        for i, j in zip(*rng.pairs(k - p)):
+    for _, k, ii, jj in _segments(rng, steps, every):
+        for i, j in zip(ii, jj):
             if not _step_angles(theta, i, j):
                 skipped += 1
-        p = k
         if k % every == 0 or k == steps:
             samples.append((k, _order4(np.array(theta))))
     return CircleEnsemble(theta), samples, skipped

@@ -13,10 +13,12 @@ least 16 rows, unless snapshots come more often than every 16 steps, it
 applies the same steps one dependency level at a time: a level is a set
 of steps that all read their rows before any of them writes its row j,
 gathered, updated with walk_step's formulas as whole-array operations
-and scattered back. Levels never cross a snapshot or a 4096-step
-segment, and ``np.vecdot`` over rows of unit stride calls the same BLAS
-``ddot`` as ``ndarray.dot``, so the rows, the log and every snapshot are
-bit for bit those of the per-step loop.
+and scattered back. Levels never cross a segment of ``_segments`` (which
+ends at each snapshot and after at most 4096 steps), and ``np.vecdot``
+over rows of unit stride calls the same BLAS ``ddot`` as
+``ndarray.dot``, so the rows, the log and every snapshot are bit for
+bit those of the per-step loop. Both loops, and ``run_circle_walk``,
+draw their row indices from one ``_BlockDraws`` stream per run.
 """
 
 import itertools
@@ -171,74 +173,59 @@ class SpectrumSnapshot:
 
 
 class _BlockDraws:
-    """A source of ``integers(m)`` for one fixed m, served from blocks of
-    _DRAW_BLOCK draws on a numpy Generator.
+    """A source of ``integers(m)`` for one fixed m: one stream of draws,
+    fetched lazily from a numpy Generator _DRAW_BLOCK at a time.
 
     ``rng.integers(m, size=K)`` yields exactly the values of K scalar
     ``rng.integers(m)`` calls, so a walk driven through this source takes
     the same pairs as one that draws each index on its own, at a fraction
     of the interpreter cost. Any other bound is refused, and so is m < 2,
-    which has no pair. ``pairs(count)`` serves count pairs of
-    sample_pair's rule from the same stream at once.
+    which has no pair. ``integers`` and ``pairs`` both read the one
+    chained iterator, so ``pairs(count)`` serves the count pairs of
+    sample_pair's rule and leaves the stream where those calls would.
     """
 
-    __slots__ = ("_rng", "_m", "_block", "_pos")
+    __slots__ = ("_m", "_draw")
 
     def __init__(self, rng, m):
         # Below two there is no pair, and pairs() would reject forever.
         if m < 2:
             raise ValueError(f"need at least two rows to form a pair, got {m}")
-        self._rng = rng
         self._m = m
-        self._block = []
-        self._pos = 0
+        blocks = iter(lambda: rng.integers(m, size=_DRAW_BLOCK).tolist(), None)
+        self._draw = itertools.chain.from_iterable(blocks).__next__
 
     def integers(self, m):
         if m != self._m:
             raise ValueError(f"this source draws below {self._m}, not {m}")
-        pos = self._pos
-        if pos == len(self._block):
-            self._block = self._rng.integers(m, size=_DRAW_BLOCK).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._block[pos]
+        return self._draw()
 
     def pairs(self, count):
         """The next count pairs that ``sample_pair(self, m)`` would draw,
         as a list of i and a list of j, from the same stream."""
-        left = self._block[self._pos:]
-        fetched = []
-
-        def refill():
-            while True:
-                fetched.append(self._rng.integers(self._m, size=_DRAW_BLOCK)
-                               .tolist())
-                yield from fetched[-1]
-
-        draw = itertools.chain(left, refill()).__next__
+        draw = self._draw
         ii, jj = [], []
-        used = 2 * count
         for _ in range(count):
             i = draw()
             j = draw()
             while j == i:
                 j = draw()
-                used += 1
             ii.append(i)
             jj.append(j)
-        if fetched:
-            self._block = fetched[-1]
-            self._pos = used - len(left) - _DRAW_BLOCK * (len(fetched) - 1)
-        else:
-            self._pos += used
         return ii, jj
 
 
-def _segment_end(p, steps, every):
-    """Where a walk segment that starts after step p ends: at the next
-    multiple of every (a sample point), after at most _DRAW_BLOCK steps,
-    or at the last step, whichever comes first."""
-    return min(steps, p + _DRAW_BLOCK, (p // every + 1) * every)
+def _segments(draws, steps, every):
+    """Yield (p, k, ii, jj) for each segment of a walk of steps steps:
+    the segment is steps p + 1 .. k, and (ii[q], jj[q]) is the pair of
+    step p + q + 1, from draws.pairs. Segments end at each multiple of
+    every (a sample point), after at most _DRAW_BLOCK steps, and at the
+    last step."""
+    p = 0
+    while p < steps:
+        k = min(steps, p + _DRAW_BLOCK, (p // every + 1) * every)
+        yield p, k, *draws.pairs(k - p)
+        p = k
 
 
 def sample_pair(rng, m):
@@ -246,8 +233,9 @@ def sample_pair(rng, m):
 
     rng is any source with an ``integers(m)`` method, such as a numpy
     Generator. run_walk's per-step loop passes a _BlockDraws over one,
-    which yields the same stream; the segment loops of run_walk and
-    run_circle_walk take the same pairs from _BlockDraws.pairs instead.
+    which yields the same stream; run_walk's level engine and
+    run_circle_walk take the same pairs a segment at a time from
+    _segments, which reads them from that stream with _BlockDraws.pairs.
     j is drawn by rejection so every ordered pair has exactly equal mass
     under the generator's raw integer stream.
     """
@@ -333,9 +321,10 @@ def run_walk(system, config):
     and every step is walk_step's update. Systems with fewer than
     _LEVEL_MIN_ROWS rows, and runs with snapshots closer than
     _LEVEL_MIN_STEPS steps, call sample_pair and walk_step once per step.
-    Otherwise the run goes in segments that end at each snapshot and after
-    at most _DRAW_BLOCK steps: a segment's pairs are drawn in one go, and
-    its steps are applied one dependency level at a time (_walk_levels).
+    Otherwise the run goes through _segments, whose segments end at each
+    snapshot and after at most _DRAW_BLOCK steps and come with their
+    pairs, and a segment's steps are applied one dependency level at a
+    time (_walk_levels).
     Within a level every read comes before any write, so the rows, the
     log and the snapshots come out bit for bit those of the per-step loop.
 
@@ -370,11 +359,8 @@ def run_walk(system, config):
     # each snapshot, and the last segment always ends in one.
     A, b = work.A, work.b
     W = np.column_stack((A, b))
-    p = 0
-    while p < steps:
-        k = _segment_end(p, steps, every)
-        _walk_levels(W, *rng.pairs(k - p), log, p)
-        p = k
+    for p, k, ii, jj in _segments(rng, steps, every):
+        _walk_levels(W, ii, jj, log, p)
         if k % every == 0 or k == steps:
             A[...] = W[:, :-1]
             b[...] = W[:, -1]

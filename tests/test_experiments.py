@@ -370,9 +370,11 @@ def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
     ["square_walk", "--m", "6", "--n", "6", "--steps", "10", "--trials", "1",
      "--seed", "-1"],
     ["theorem_audit", "--seed", "-3"],
+    ["square_walk", "--m", "6", "--n", "6", "--steps", "50", "--trials", "3",
+     "-x", "ell=1"],
 ], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell",
         "square_walk-m1", "circle-m1", "square_walk-seed-negative",
-        "theorem_audit-seed-negative"])
+        "theorem_audit-seed-negative", "square_walk-ell-start-above-1"])
 def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "d")])
     assert code == 1

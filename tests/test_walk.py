@@ -12,6 +12,7 @@ from kacwalk.walk import (
     LinearSystem,
     WalkConfig,
     _BlockDraws,
+    _segments,
     run_walk,
     sample_pair,
     take_snapshot,
@@ -283,10 +284,40 @@ def test_block_draws_pairs_match_sample_pair_across_blocks(m):
     # would, also when a block runs out between i and j or mid-rejection.
     scalar = np.random.default_rng(m)
     blocks = _BlockDraws(np.random.default_rng(m), m)
-    for count in (1, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3, 2 * _DRAW_BLOCK + 5):
+    assert blocks.integers(m) == int(scalar.integers(m))
+    for count in (1, 0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3, 2 * _DRAW_BLOCK + 5):
         assert (list(zip(*blocks.pairs(count)))
                 == [sample_pair(scalar, m) for _ in range(count)])
         assert blocks.integers(m) == int(scalar.integers(m))
+
+
+@pytest.mark.parametrize("m, steps, every", [
+    (5, 0, 3),
+    (5, 7, 10),
+    (2, 100, 7),
+    (31, 3 * _DRAW_BLOCK + 5, 1000),
+    (3, 2 * _DRAW_BLOCK + 3, 3 * _DRAW_BLOCK),
+    (16, 2 * _DRAW_BLOCK, _DRAW_BLOCK),
+], ids=["zero-steps", "every-past-end", "every-not-dividing",
+        "past-blocks", "stride-past-blocks", "stride-on-blocks"])
+def test_segments_tile_the_walk_and_replay_sample_pair(m, steps, every):
+    spans, ii, jj = [], [], []
+    draws = _BlockDraws(np.random.default_rng(m), m)
+    for p, k, seg_i, seg_j in _segments(draws, steps, every):
+        assert len(seg_i) == len(seg_j) == k - p
+        spans.append((p, k))
+        ii += seg_i
+        jj += seg_j
+    # The spans tile [0, steps) in order, none longer than one block.
+    ends = [0] + [k for _, k in spans]
+    assert [p for p, _ in spans] == ends[:-1]
+    assert ends[-1] == steps
+    assert all(0 < k - p <= _DRAW_BLOCK for p, k in spans)
+    # Every sample point ends a segment.
+    assert set(range(every, steps + 1, every)) <= set(ends)
+    scalar = np.random.default_rng(m)
+    assert (list(zip(ii, jj))
+            == [sample_pair(scalar, m) for _ in range(steps)])
 
 
 # ------------------------------------------------------------------- logs
