@@ -2,9 +2,10 @@
 
 In the many-point limit the circle dynamics transports mass from two
 quarter-turn sources, and small perturbations of the uniform density
-decay mode by mode at rate 2 sin^2(k pi / 4): modes 1 and 3 relax at
-rate 1, mode 2 at rate 2, and mode 4 sits exactly still.  The demo fits
-each rate from an RK4 trajectory and checks mass conservation.
+decay mode by mode at rate 1 - cos(k pi/2) - 2 sin(k pi/2) / (pi k):
+mode 1 relaxes at 1 - 2/pi, mode 2 at 2, mode 3 at 1 + 2/(3 pi), and
+mode 4 sits exactly still.  The demo fits each rate from an RK4
+trajectory and checks mass conservation.
 """
 
 import math
@@ -24,11 +25,12 @@ T_END = 8.0
 
 def main():
     print(f"grid N = {N}, dt = {DT}, horizon t = {T_END}")
-    print(f"{'mode':>5} {'fitted rate':>12} {'2 sin^2(k pi/4)':>16}")
+    print(f"{'mode':>5} {'fitted rate':>12} {'limit rate':>12}")
     for mode in (1, 2, 3):
         fitted = fourier_decay_rate(cosine_grid(N, mode, 1e-3), mode, T_END, DT)
-        exact = 2.0 * math.sin(mode * math.pi / 4.0) ** 2
-        print(f"{mode:>5d} {fitted:>12.6f} {exact:>16.6f}")
+        half = mode * math.pi / 2.0
+        exact = 1.0 - math.cos(half) - 2.0 * math.sin(half) / (math.pi * mode)
+        print(f"{mode:>5d} {fitted:>12.6f} {exact:>12.6f}")
 
     g4 = cosine_grid(N, 4, 1e-3)
     drift = abs(meanfield_rhs(g4)).max()

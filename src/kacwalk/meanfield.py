@@ -10,18 +10,21 @@ directions; order_parameter_4 tracks that clustering.
 Sending the population size to infinity turns the jump process into a
 transport equation for the angle density u(x, t):
 
-    du/dt = -u(x) + u(x + pi/2) I_-(x) + u(x - pi/2) I_+(x),
+    du/dt = -u(x) + [u(x - pi/2) + u(x + pi/2)] I(x),
 
-where I_- integrates u over (x - pi/2, x + pi/2) and I_+ over the
-opposite half-circle. The discretization here keeps that structure exact:
-the grid size is divisible by 4 so the quarter-turn shifts are plain
-index rotations, and the window integrals weight the two boundary cells
-by one half, which makes the total mass a conserved quantity of the
-spatial discretization itself (not just of the time integrator) and
-makes the uniform density exactly stationary. The window sums are row
-sums of a strided view over one wrapped copy of u: O(N) memory, and the
-same values added in the same order at every grid point, so the
-operator commutes with grid rotations bit for bit.
+where I integrates u over (x - pi/2, x + pi/2): a row lands at x from a
+row at x - pi/2 or x + pi/2, and only if it already lies within a
+quarter turn of x. Linearized about the uniform density, mode k decays
+at rate 1 - cos(k pi/2) - 2 sin(k pi/2) / (pi k): 1 - 2/pi, 2,
+1 + 2/(3 pi) and 0 for k = 1..4. The discretization here keeps that
+structure exact: the grid size is divisible by 4 so the quarter-turn
+shifts are plain index rotations, and the window integrals weight the
+two boundary cells by one half, which makes the total mass a conserved
+quantity of the spatial discretization itself (not just of the time
+integrator) and makes the uniform density exactly stationary. The
+window sums are row sums of a strided view over one wrapped copy of u:
+O(N) memory, and the same values added in the same order at every grid
+point, so the operator commutes with grid rotations bit for bit.
 """
 
 import math
@@ -241,18 +244,15 @@ def _rhs(u, N):
     window = as_strided(ring[1:], (2 * q - 1, N), (s, s), writeable=False)
     w = window.sum(axis=0)
     w += 0.5 * (ring[:N] + ring[2 * q:])
-    h = TWO_PI / N
-    i_minus = h * w
-    i_plus = h * np.concatenate((w[N // 2:], w[:N // 2]))
-    return -u + ring[2 * q:] * i_minus + ring[:N] * i_plus
+    return -u + (ring[2 * q:] + ring[:N]) * ((TWO_PI / N) * w)
 
 
 def meanfield_rhs(grid):
     """Time derivative of the density under the pair dynamics.
 
     Mass loss at unit rate everywhere, mass gain transported from the two
-    quarter-turn sources x +- pi/2, each weighted by the half-circle
-    window integral behind it.
+    quarter-turn sources x +- pi/2, both weighted by the integral over
+    the half-circle window (x - pi/2, x + pi/2) centered on x.
     """
     return _rhs(grid.u, grid.N)
 

@@ -1,29 +1,34 @@
 """Randomized row-projection solver.
 
 The solver is the classical randomized projection iteration: sample a row
-with probability proportional to its squared norm, project the iterate
-onto that row's hyperplane, repeat. Its expected squared error contracts
-by (1 - sigma_min^2 / ||A||_F^2) per iteration, so it takes fewer
-iterations on the system ``run_walk`` returns, whose smallest singular
-value has grown while its solution stayed put.
+uniformly at random, project the iterate onto that row's hyperplane,
+repeat. Every row of a LinearSystem has unit length, so uniform is the
+squared-norm rule of Strohmer and Vershynin, and the projection is
+x += (b_i - a_i . x) a_i. Its expected squared error contracts by
+(1 - sigma_min^2 / m) per iteration, so it takes fewer iterations on the
+system ``run_walk`` returns, whose smallest singular value has grown
+while its solution stayed put.
 
-The row indices are drawn _ROW_BLOCK at a time from one generator, which
-yields the same stream as drawing all max_iters at once, so memory and
-set-up time follow the iterations run, not the cap. The loop does not
-compute ||A x - b|| every iteration. Projecting onto row i moves A x - b
-by delta * A a_i, whose norm is |delta| * reach[i] with reach[i] =
-||A a_i|| computed once. So after each exact residual res, the scalar
-room = res - _STOP_GUARD * target, decremented by |delta| * reach[i] per
-projection, is a lower bound on how far the residual still sits above
-_STOP_GUARD * target. The exact residual is computed only when room
-reaches 0 or at a record point, and it alone decides the stop. Iterates,
-trace and stopping iteration are therefore bitwise those of a loop that
-checks the exact residual every iteration, as long as the rounding in
-room since the last exact check stays below the target (it is many
-orders of magnitude smaller unless the target sits at the rounding floor
-of ||A x - b||; there the run can only stop later, never earlier).
+The row indices are one stream of ``rng.integers(m)`` drawn _ROW_BLOCK
+at a time, which yields the same values as drawing all max_iters at
+once, so memory and set-up time follow the iterations run, not the cap.
+The loop does not compute ||A x - b|| every iteration. Projecting onto
+row i moves A x - b by delta * A a_i, whose norm is |delta| * reach[i]
+with reach[i] = ||A a_i||, computed once from the n x n Gram matrix as
+reach[i]^2 = a_i . (A^T A) a_i. So after each exact residual res, the
+scalar room = res - _STOP_GUARD * target, decremented by
+|delta| * reach[i] per projection, is a lower bound on how far the
+residual still sits above _STOP_GUARD * target. The exact residual is
+computed only when room reaches 0 or at a record point, and it alone
+decides the stop. Iterates, trace and stopping iteration are therefore
+bitwise those of a loop that checks the exact residual every iteration,
+as long as the rounding in room since the last exact check stays below
+the target (it is many orders of magnitude smaller unless the target
+sits at the rounding floor of ||A x - b||; there the run can only stop
+later, never earlier).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -91,18 +96,17 @@ def kaczmarz_solve(system, x0, config):
     """Iterate row projections from x0 until the residual target or the
     iteration budget is hit.
 
-    Rows are sampled with probability ||A_i||^2 / ||A||_F^2 (uniform for
-    the row-normalized systems this package produces). Returns the final
-    iterate and a SolveTrace.
+    Rows are drawn uniformly, _ROW_BLOCK at a time from one
+    ``rng.integers(m)`` stream. Returns the final iterate and a
+    SolveTrace.
     """
     x = linalg.as_vector(x0)
     if x.shape[0] != system.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {system.n}")
     A, b = system.A, system.b
-    row_sq = (A * A).sum(axis=1)
-    cum = np.cumsum(row_sq)
-    cum /= cum[-1]
     rng = np.random.default_rng(config.seed)
+    rows = itertools.chain.from_iterable(
+        iter(lambda: rng.integers(system.m, size=_ROW_BLOCK).tolist(), None))
 
     if system.x_ref is not None:
         ref = system.x_ref
@@ -122,9 +126,10 @@ def kaczmarz_solve(system, x0, config):
 
     # Views bound once: indexing a list is cheaper than A[i] per iteration.
     A_rows = list(A)
-    # reach[i] = ||A a_i||; the m x m Gram matrix is dropped once it is read.
-    reach = np.linalg.norm(A @ A.T, axis=1).tolist()
-    b_list, row_sq_list = b.tolist(), row_sq.tolist()
+    # reach[i] = ||A a_i||, from the n x n Gram matrix: the m x m one
+    # would take m^2 floats for an m x n system.
+    reach = np.sqrt(np.vecdot(A @ (A.T @ A), A)).tolist()
+    b_list = b.tolist()
     target, every, last = (config.target_residual, config.record_every,
                            config.max_iters)
     guard = _STOP_GUARD * target
@@ -134,9 +139,9 @@ def kaczmarz_solve(system, x0, config):
     errors = [err(x)]
     converged = res <= target
     if not converged:
-        for k, i in enumerate(_rows(cum, rng, last), 1):
+        for k, i in enumerate(itertools.islice(rows, last), 1):
             a = A_rows[i]
-            delta = (b_list[i] - float(a.dot(x))) / row_sq_list[i]
+            delta = b_list[i] - float(a.dot(x))
             x += delta * a
             room -= abs(delta) * reach[i]
             record = k == last or k % every == 0
@@ -154,12 +159,4 @@ def kaczmarz_solve(system, x0, config):
         error_sq=np.asarray(errors, dtype=np.float64),
         converged=bool(converged),
     )
-
-
-def _rows(cum, rng, count):
-    """count row indices, searchsorted from uniform draws made _ROW_BLOCK
-    at a time: consecutive rng.random blocks continue one stream."""
-    for start in range(0, count, _ROW_BLOCK):
-        u = rng.random(min(_ROW_BLOCK, count - start))
-        yield from np.searchsorted(cum, u, side="right").tolist()
 

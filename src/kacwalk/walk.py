@@ -8,17 +8,17 @@ toward mutual orthogonality while the squared Frobenius norm stays pinned
 at the row count.
 
 ``walk_step`` is the reference kernel: one step, read then write.
-``run_walk`` calls it once per step on small systems. On systems with at
-least 16 rows, unless snapshots come more often than every 16 steps, it
-applies the same steps one dependency level at a time: a level is a set
-of steps that all read their rows before any of them writes its row j,
-gathered, updated with walk_step's formulas as whole-array operations
-and scattered back. Levels never cross a segment of ``_segments`` (which
-ends at each snapshot and after at most 4096 steps), and ``np.vecdot``
-over rows of unit stride calls the same BLAS ``ddot`` as
-``ndarray.dot``, so the rows, the log and every snapshot are bit for
-bit those of the per-step loop. Both loops, and ``run_circle_walk``,
-draw their row indices from one ``_BlockDraws`` stream per run.
+``run_walk`` calls it once per step on systems with fewer than 16 rows.
+On larger systems it applies the same steps one dependency level at a
+time: a level is a set of steps that all read their rows before any of
+them writes its row j, gathered, updated with walk_step's formulas as
+whole-array operations and scattered back. Levels never cross a segment
+of ``_segments`` (which ends at each snapshot and after at most 4096
+steps), and ``np.vecdot`` over rows of unit stride calls the same BLAS
+``ddot`` as ``ndarray.dot``, so the rows, the log and every snapshot
+are bit for bit those of the per-step loop. Both loops, and
+``run_circle_walk``, draw their row indices from one ``_BlockDraws``
+stream per run.
 """
 
 import itertools
@@ -53,10 +53,8 @@ DEGENERATE_TOL = 1e-12
 # Walk loops draw their row indices this many at a time.
 _DRAW_BLOCK = 4096
 # run_walk applies the steps of systems with at least this many rows one
-# dependency level at a time, unless snapshots come more often than every
-# _LEVEL_MIN_STEPS steps; otherwise it calls walk_step once per step.
+# dependency level at a time; on fewer it calls walk_step once per step.
 _LEVEL_MIN_ROWS = 16
-_LEVEL_MIN_STEPS = 16
 
 
 @dataclass
@@ -319,12 +317,11 @@ def run_walk(system, config):
 
     The pairs are those of one sample_pair call per step on one generator,
     and every step is walk_step's update. Systems with fewer than
-    _LEVEL_MIN_ROWS rows, and runs with snapshots closer than
-    _LEVEL_MIN_STEPS steps, call sample_pair and walk_step once per step.
-    Otherwise the run goes through _segments, whose segments end at each
-    snapshot and after at most _DRAW_BLOCK steps and come with their
-    pairs, and a segment's steps are applied one dependency level at a
-    time (_walk_levels).
+    _LEVEL_MIN_ROWS rows call sample_pair and walk_step once per step.
+    Larger ones go through _segments, whose segments end at each snapshot
+    and after at most _DRAW_BLOCK steps and come with their pairs, and a
+    segment's steps are applied one dependency level at a time
+    (_walk_levels).
     Within a level every read comes before any write, so the rows, the
     log and the snapshots come out bit for bit those of the per-step loop.
 
@@ -344,7 +341,7 @@ def run_walk(system, config):
     log = StepLog(steps)
     log_i, log_j, log_c, log_skipped = log.i, log.j, log.c, log.skipped
     snapshots = [take_snapshot(work, 0)]
-    if m < _LEVEL_MIN_ROWS or every < _LEVEL_MIN_STEPS:
+    if m < _LEVEL_MIN_ROWS:
         for p in range(steps):
             i, j = sample_pair(rng, m)
             log_i[p] = i

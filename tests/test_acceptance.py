@@ -173,8 +173,11 @@ def test_07_meanfield_mode_rates_and_mass():
     for mode in (1, 2, 3, 4):
         fitted[mode] = fourier_decay_rate(cosine_grid(256, mode, 1e-3),
                                           mode, t_end=10.0, dt=0.005)
-    # 2 sin^2(k pi / 4) for k = 1..4
-    expected = {1: 1.0, 2: 2.0, 3: 1.0, 4: 0.0}
+    # Linearizing the gain [u(x - pi/2) + u(x + pi/2)] I(x - pi/2, x + pi/2)
+    # about 1/(2 pi) gives 1 - cos(k pi / 2) - 2 sin(k pi / 2) / (pi k):
+    # 1 - 2/pi, 2, 1 + 2/(3 pi) and 0 for k = 1..4.
+    expected = {k: 1.0 - np.cos(k * np.pi / 2) - 2.0 * np.sin(k * np.pi / 2)
+                / (np.pi * k) for k in (1, 2, 3)}
     ok = all(abs(fitted[k] - expected[k]) <= 0.02 * expected[k]
              for k in (1, 2, 3))
     ok = ok and abs(fitted[4]) <= 0.02
@@ -188,7 +191,8 @@ def test_07_meanfield_mode_rates_and_mass():
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     _line(7, ok,
-          f"rates {fitted[1]:.4f}/{fitted[2]:.4f}/{fitted[3]:.4f} vs 1/2/1 "
+          f"rates {fitted[1]:.4f}/{fitted[2]:.4f}/{fitted[3]:.4f} vs "
+          f"{expected[1]:.4f}/{expected[2]:.4f}/{expected[3]:.4f} "
           f"(2% bands), |mode-4 rate| {abs(fitted[4]):.2e} (<= 0.02), "
           f"mass dev {mass_dev:.1e} (<= 1e-9), {elapsed:.0f}s (< 30s)")
 

@@ -239,10 +239,7 @@ def _reference_rhs(u, N):
     idx = (offs[:, None] + np.arange(N)[None, :]) % N
     w = u[idx].sum(axis=0)
     w += 0.5 * (np.roll(u, q) + np.roll(u, -q))
-    h = TWO_PI / N
-    i_minus = h * w
-    i_plus = h * np.roll(w, -(N // 2))
-    return -u + np.roll(u, -q) * i_minus + np.roll(u, q) * i_plus
+    return -u + (np.roll(u, -q) + np.roll(u, q)) * ((TWO_PI / N) * w)
 
 
 @pytest.mark.parametrize("N", [4, 8, 12, 64, 256, 1024])
@@ -324,14 +321,23 @@ def test_integrate_mass_and_time_bookkeeping():
     assert np.array_equal(two_leg.u, one_leg.u)
 
 
+def _grid_mode_one_rate(N):
+    """The exact mode-1 eigenvalue of the N-cell operator: the window sum
+    of e^{ix} is sin((N/4 - 1/2) h) / sin(h / 2) with h = 2 pi / N, and the
+    quarter-turn sources of mode 1 cancel. It tends to 1 - 2/pi."""
+    h = TWO_PI / N
+    return 1.0 - (2.0 / N) * np.sin((N / 4 - 0.5) * h) / np.sin(h / 2)
+
+
 def test_integrate_fractional_horizon():
     # duration that is not a multiple of dt: covered by equal substeps
     g = cosine_grid(64, 1, 1e-3)
     out = meanfield_integrate(g, 0.0123, 0.005)
     assert out.t == 0.0123
     assert abs(out.mass() - 1.0) < 1e-12
-    assert mode_amplitude(out, 1) == pytest.approx(1e-3 * np.exp(-0.0123),
-                                                   rel=1e-9)
+    rate = _grid_mode_one_rate(64)
+    assert mode_amplitude(out, 1) == pytest.approx(
+        1e-3 * np.exp(-rate * 0.0123), rel=1e-9)
 
 
 def test_integrate_validation():
@@ -343,17 +349,17 @@ def test_integrate_validation():
     assert np.array_equal(meanfield_integrate(g, 0.0, 0.005).u, g.u)
 
 
-def test_mode_one_decays_at_unit_rate():
+def test_mode_one_decays_at_the_grid_rate():
     rate = fourier_decay_rate(cosine_grid(64, 1, 1e-3), 1, t_end=2.0, dt=0.005)
-    assert rate == pytest.approx(1.0, rel=1e-6)
+    assert rate == pytest.approx(_grid_mode_one_rate(64), rel=1e-6)
 
 
 def test_decay_of_amplitude_matches_rate():
-    # amplitude at t should be (initial) * exp(-t) for mode 1
+    # amplitude at t should be (initial) * exp(-rate t) for mode 1
     g = cosine_grid(64, 1, 1e-3)
     out = meanfield_integrate(g, 2.0, 0.005)
-    assert mode_amplitude(out, 1) == pytest.approx(1e-3 * np.exp(-2.0),
-                                                   rel=1e-8)
+    assert mode_amplitude(out, 1) == pytest.approx(
+        1e-3 * np.exp(-2.0 * _grid_mode_one_rate(64)), rel=1e-8)
 
 
 def test_integrate_and_decay_fit_take_the_same_substeps(monkeypatch):
@@ -387,13 +393,7 @@ def _cosine_angles(count, mode, rel_amp, seed):
     return kept[:count]
 
 
-_ODD_MODE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 2: meanfield._rhs gives odd modes rates 1, 1 where the "
-    "circle walk decays them at 1 - 2/pi and 1 + 2/(3 pi)"))
-
-
-@pytest.mark.parametrize("mode", [pytest.param(1, marks=_ODD_MODE), 2,
-                                  pytest.param(3, marks=_ODD_MODE)])
+@pytest.mark.parametrize("mode", [1, 2, 3])
 def test_circle_walk_mode_decay_matches_meanfield_over_unit_time(mode):
     # m particles, m steps: t = 1 in the mean-field time scale.
     m, rel_amp = 40000, 0.9

@@ -85,10 +85,8 @@ def _reference_solve(system, x0, config):
     # index and one full ||A x - b|| per iteration.
     x = linalg.as_vector(x0)
     A, b = system.A, system.b
-    row_sq = (A * A).sum(axis=1)
-    cum = np.cumsum(row_sq)
-    cum /= cum[-1]
-    draws = np.random.default_rng(config.seed).random(config.max_iters)
+    draws = np.random.default_rng(config.seed).integers(
+        system.m, size=config.max_iters)
 
     def err(v):
         d = v - system.x_ref if system.x_ref is not None else A @ v - b
@@ -101,10 +99,10 @@ def _reference_solve(system, x0, config):
     converged = resid(x) <= config.target_residual
     k = 0
     while not converged and k < config.max_iters:
-        i = int(np.searchsorted(cum, draws[k], side="right"))
+        i = int(draws[k])
         k += 1
         a = A[i]
-        x = x + ((b[i] - float(a @ x)) / row_sq[i]) * a
+        x = x + (b[i] - float(a @ x)) * a
         converged = resid(x) <= config.target_residual
         if converged or k == config.max_iters or k % config.record_every == 0:
             iters.append(k)
@@ -129,34 +127,35 @@ def _inconsistent(m, n, seed):
                         rng.standard_normal(m))
 
 
-@pytest.mark.parametrize("system,x0,config,converged", [
+@pytest.mark.parametrize("system,x0,config,converged,past_block", [
     (_walked(12, 12, 1, 2000), None,
-     SolveConfig(seed=1, max_iters=20000, target_residual=1e-8), True),
+     SolveConfig(seed=1, max_iters=20000, target_residual=1e-8), True, False),
     (gaussian_system(20, 20, 2), None,
-     SolveConfig(seed=2, max_iters=700, target_residual=1e-12), False),
+     SolveConfig(seed=2, max_iters=700, target_residual=1e-12), False, False),
     (_without_reference(gaussian_system(20, 8, 3)), None,
      SolveConfig(seed=3, max_iters=20000, target_residual=1e-7,
-                 record_every=37), True),
+                 record_every=37), True, False),
     (gaussian_system(30, 10, 4), None,
-     SolveConfig(seed=4, max_iters=20000, target_residual=1e-9), True),
+     SolveConfig(seed=4, max_iters=20000, target_residual=1e-9), True, False),
     (gaussian_system(12, 6, 5), None,
      SolveConfig(seed=5, max_iters=3000, target_residual=1e-6,
-                 record_every=1), True),
+                 record_every=1), True, False),
     (gaussian_system(6, 4, 6), "x_ref",
-     SolveConfig(seed=6, max_iters=50, target_residual=1e-8), True),
-    # Stops at iteration 6922, in the second block of row draws.
+     SolveConfig(seed=6, max_iters=50, target_residual=1e-8), True, False),
+    # Stops at iteration 6592, in the second block of row draws.
     (gaussian_system(16, 12, 3), None,
      SolveConfig(seed=3, max_iters=3 * _ROW_BLOCK, target_residual=1e-10),
-     True),
+     True, True),
     (_walked(12, 12, 1, 2000), None,
      SolveConfig(seed=1, max_iters=20000, target_residual=1e-8,
-                 record_every=10**6), True),
+                 record_every=10**6), True, False),
     (_inconsistent(30, 10, 8), None,
-     SolveConfig(seed=8, max_iters=3000, target_residual=1e-6), False),
+     SolveConfig(seed=8, max_iters=3000, target_residual=1e-6), False, False),
 ], ids=["walked", "raw-capped", "no-x_ref", "tall-30x10", "record_every-1",
         "x0-at-solution", "past-a-row-block", "record_every-above-cap",
         "inconsistent-capped"])
-def test_solver_matches_reference_loop_bitwise(system, x0, config, converged):
+def test_solver_matches_reference_loop_bitwise(system, x0, config, converged,
+                                               past_block):
     x0 = system.x_ref if x0 == "x_ref" else np.zeros(system.n)
     x, trace = kaczmarz_solve(system, x0, config)
     ref_x, ref_iters, ref_errors, ref_converged = _reference_solve(
@@ -165,6 +164,9 @@ def test_solver_matches_reference_loop_bitwise(system, x0, config, converged):
     assert np.array_equal(trace.iters, ref_iters)
     assert np.array_equal(trace.error_sq, ref_errors)
     assert trace.converged == ref_converged == converged
+    # A case that stops past the first block checks that blocks of row
+    # draws chain into one stream.
+    assert (trace.iters[-1] > _ROW_BLOCK) == past_block
 
 
 def test_solver_stop_inside_the_guard_band_matches_reference_bitwise():
@@ -195,18 +197,20 @@ def test_solver_stop_inside_the_guard_band_matches_reference_bitwise():
 
 
 def test_solver_memory_follows_iterations_run_not_the_cap():
-    # Drawing all 10**7 rows up front would take 80 MB for the uniforms
-    # alone; this solve stops within a few hundred iterations.
-    system = random_orthogonal_system(8, seed=1)
+    # Drawing all 10**7 rows up front would take 80 MB for the indices
+    # alone, and an m x m Gram matrix 72 MB for these 3000 rows; this
+    # solve stops within about a thousand iterations, and its set-up
+    # needs a few copies of A at most.
+    system = gaussian_system(3000, 20, 1)
     config = SolveConfig(seed=2, max_iters=10**7, target_residual=1e-10)
     tracemalloc.start()
     try:
-        _, trace = kaczmarz_solve(system, np.zeros(8), config)
+        _, trace = kaczmarz_solve(system, np.zeros(20), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert trace.converged and trace.iters[-1] < _ROW_BLOCK
-    assert peak < 1_000_000
+    assert peak < 4 * system.A.nbytes
 
 
 def test_solve_config_validation():

@@ -8,7 +8,6 @@ from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import (
     _DRAW_BLOCK,
     _LEVEL_MIN_ROWS,
-    _LEVEL_MIN_STEPS,
     LinearSystem,
     WalkConfig,
     _BlockDraws,
@@ -352,18 +351,21 @@ def _tall_duplicated_rows_system():
     (make_system(100, 100, 18), 2000, 100, False),
     (_tall_duplicated_rows_system(), 3000, 500, True),
     (make_system(24, 20, 19), 1000, None, False),
+    (make_system(16, 16, 23), 500, 1, False),
+    (make_system(200, 2, 24), 2000, None, True),
 ], ids=["8x8", "6x4-duplicated-row", "2x2-past-blocks", "3x2-past-blocks",
         "31x30-every-1000", "31x30-segments-at-block-cap", "100x100-every-100",
-        "16x2-duplicated-rows", "24x20-default-stride"])
+        "16x2-duplicated-rows", "24x20-default-stride", "16x16-every-1",
+        "200x2-default-stride"])
 def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
                                                   every, skips):
     # run_walk must be exactly sample_pair + walk_step applied in order
     # on one generator drawing scalars; a faster engine gets checked
     # against this replay. The 2x2 and 3x2 cases cross several draw
     # blocks, with j redrawn whenever it hits i. The cases with 16 or more
-    # rows run the dependency-level engine, whose segments end at
-    # snapshots and, with snapshots more than _DRAW_BLOCK steps apart, at
-    # that cap.
+    # rows run the dependency-level engine at any snapshot stride (down to
+    # every step), whose segments end at snapshots and, with snapshots
+    # more than _DRAW_BLOCK steps apart, at that cap.
     cfg = WalkConfig(seed=21, steps=steps, snapshot_every=every)
     final, log, snaps = run_walk(system, cfg)
     ref = system.copy()
@@ -395,18 +397,16 @@ def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
     assert np.array_equal(k, np.arange(1, steps + 1))
 
 
-@pytest.mark.parametrize("m,n,every,calls", [
-    (10, 10, None, 137),
-    (31, 30, _LEVEL_MIN_STEPS - 1, 137),
-    (31, 30, None, 0),
-], ids=["10x10", "31x30-short-stride", "31x30-levels"])
+@pytest.mark.parametrize("m,n,calls", [
+    (10, 10, 137),
+    (31, 30, 0),
+], ids=["10x10", "31x30-levels"])
 def test_run_walk_calls_per_step_kernels_only_below_the_level_threshold(
-        monkeypatch, m, n, every, calls):
-    # Systems below _LEVEL_MIN_ROWS rows, and runs with snapshots closer
-    # than _LEVEL_MIN_STEPS steps, call sample_pair and walk_step through
-    # the module once per step; perfbench's tracer counts exactly those
-    # calls (perfbench/selftest.py walks 10x10). Larger runs use the
-    # level engine, which calls neither.
+        monkeypatch, m, n, calls):
+    # Systems below _LEVEL_MIN_ROWS rows call sample_pair and walk_step
+    # through the module once per step; perfbench's tracer counts exactly
+    # those calls (perfbench/selftest.py walks 10x10). Larger systems use
+    # the level engine, which calls neither.
     assert _LEVEL_MIN_ROWS > 10
     counts = {}
     for name in ("sample_pair", "walk_step"):
@@ -414,8 +414,7 @@ def test_run_walk_calls_per_step_kernels_only_below_the_level_threshold(
             counts[_name] = counts.get(_name, 0) + 1
             return _real(*args)
         monkeypatch.setattr(walk, name, counted)
-    run_walk(make_system(m, n, 22),
-             WalkConfig(seed=1, steps=137, snapshot_every=every))
+    run_walk(make_system(m, n, 22), WalkConfig(seed=1, steps=137))
     assert counts.get("sample_pair", 0) == calls
     assert counts.get("walk_step", 0) == calls
 
