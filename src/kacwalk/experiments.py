@@ -63,7 +63,7 @@ DEFAULTS = {
                        snapshot_every=100000, trials=3),
     "circle": dict(m=200, n=2, seed=0, steps=100000,
                    snapshot_every=1000, trials=20),
-    "solver_compare": dict(m=100, n=100, seed=0, steps=20000,
+    "solver_compare": dict(m=100, n=100, seed=0, steps=60000,
                            snapshot_every=100, trials=20),
     "theorem_audit": dict(m=10, n=10, seed=0, steps=1,
                           snapshot_every=1, trials=200),
@@ -183,7 +183,9 @@ REQUIRES = {
     "circle": (
         _pairs,
         lambda c: c.n != 2 and "circle is the two-column case; set n = 2",),
-    "solver_compare": (_pairs,),
+    "solver_compare": (
+        _pairs,
+        lambda c: c.m < c.n and "solver_compare needs m >= n",),
     "theorem_audit": (_audit_fields,),
 }
 
@@ -479,6 +481,10 @@ def exp_solver_compare(cfg, out, files):
     runs to residual 1e-6. Extras: max_iters (iteration cap per solve,
     default 25000) and budgets (comma-separated extra walk budgets, each
     written with a _b<budget> suffix; default none). Each budget runs once.
+    The default budget, 60000 steps, is 6 n^2 at the default 100x100: it
+    lifts sigma_min to about 0.9, and the walked solve stops within a few
+    thousand iterations, while the raw one runs into the cap (its
+    iters_raw is None).
     """
     max_iters = _extra(cfg, "max_iters")
     budgets = dict.fromkeys((cfg.steps, *_extra(cfg, "budgets")))

@@ -9,6 +9,17 @@ x += (b_i - a_i . x) a_i. Its expected squared error contracts by
 system ``run_walk`` returns, whose smallest singular value has grown
 while its solution stayed put.
 
+Every iterate is x0 plus a combination of rows, x = x0 + A^T w, and the
+projection onto row i changes w[i] alone, by
+delta = (b_i - a_i . x0) - (A A^T)_i . w. When m <= n the m x m matrix
+A A^T is no larger than A, and the loop iterates on w in this form (the
+randomized Gauss-Seidel view of Leventhal and Lewis): one dot product
+and one scalar update, where the projection on x adds a whole n-vector.
+It forms x = x0 + A^T w only where it checks or records it. When m > n
+A A^T would outgrow A, so the loop projects x itself, and memory stays a
+few copies of A on tall input. In exact arithmetic both forms produce
+the same iterates; in floating point they part in the last bits.
+
 The row indices are one stream of ``rng.integers(m)`` drawn _ROW_BLOCK
 at a time, which yields the same values as drawing all max_iters at
 once, so memory and set-up time follow the iterations run, not the cap.
@@ -18,14 +29,14 @@ with reach[i] = ||A a_i||, computed once from the n x n Gram matrix as
 reach[i]^2 = a_i . (A^T A) a_i. So after each exact residual res, the
 scalar room = res - _STOP_GUARD * target, decremented by
 |delta| * reach[i] per projection, is a lower bound on how far the
-residual still sits above _STOP_GUARD * target. The exact residual is
-computed only when room reaches 0 or at a record point, and it alone
-decides the stop. Iterates, trace and stopping iteration are therefore
-bitwise those of a loop that checks the exact residual every iteration,
-as long as the rounding in room since the last exact check stays below
-the target (it is many orders of magnitude smaller unless the target
-sits at the rounding floor of ||A x - b||; there the run can only stop
-later, never earlier).
+residual still sits above _STOP_GUARD * target. The exact residual of
+x is computed only when room reaches 0 or at a record point, and it
+alone decides the stop. Iterates, trace and stopping iteration are
+therefore bitwise those of a loop, in the same form, that checks the
+exact residual every iteration, as long as the rounding in room since
+the last exact check stays below the target (it is many orders of
+magnitude smaller unless the target sits at the rounding floor of
+||A x - b||; there the run can only stop later, never earlier).
 """
 
 import itertools
@@ -97,8 +108,10 @@ def kaczmarz_solve(system, x0, config):
     iteration budget is hit.
 
     Rows are drawn uniformly, _ROW_BLOCK at a time from one
-    ``rng.integers(m)`` stream. Returns the final iterate and a
-    SolveTrace.
+    ``rng.integers(m)`` stream. When m <= n the iteration runs on the
+    coefficients w of x = x0 + A^T w (see the module docstring), and
+    the residual, the trace and the result come from that x. Returns the
+    final iterate and a SolveTrace.
     """
     x = linalg.as_vector(x0)
     if x.shape[0] != system.n:
@@ -120,16 +133,30 @@ def kaczmarz_solve(system, x0, config):
             r = A @ v - b
             return float(r @ r)
 
+    # ndarray.dot makes the same BLAS gemv call as @ with less overhead
+    # on small arrays; it runs at every exact check.
     def residual(v):
-        r = A @ v - b
+        r = A.dot(v) - b
         return math.sqrt(float(r.dot(r)))
 
-    # Views bound once: indexing a list is cheaper than A[i] per iteration.
-    A_rows = list(A)
     # reach[i] = ||A a_i||, from the n x n Gram matrix: the m x m one
     # would take m^2 floats for an m x n system.
     reach = np.sqrt(np.vecdot(A @ (A.T @ A), A)).tolist()
-    b_list = b.tolist()
+    # The loop's unknown is v, and projection i makes lhs[i] . v equal
+    # rhs[i]. For m <= n, v is w in x = x0 + A^T w: lhs is A A^T, no
+    # larger than A, and the projection moves w[i] alone. For m > n, v is
+    # x itself and lhs is A. Row views are bound once: indexing a list is
+    # cheaper than indexing the matrix.
+    coefficients = system.m <= system.n
+    if coefficients:
+        start = x
+        v = np.zeros(system.m)
+        # w is v seen through a memoryview: w[i] += delta updates the
+        # double in place with no NumPy scalar made, the same bits faster.
+        w = memoryview(v)
+        lhs, rhs = list(A @ A.T), (b - A @ start).tolist()
+    else:
+        v, lhs, rhs = x, list(A), b.tolist()
     target, every, last = (config.target_residual, config.record_every,
                            config.max_iters)
     guard = _STOP_GUARD * target
@@ -140,12 +167,17 @@ def kaczmarz_solve(system, x0, config):
     converged = res <= target
     if not converged:
         for k, i in enumerate(itertools.islice(rows, last), 1):
-            a = A_rows[i]
-            delta = b_list[i] - float(a.dot(x))
-            x += delta * a
+            row = lhs[i]
+            delta = rhs[i] - float(row.dot(v))
+            if coefficients:
+                w[i] += delta
+            else:
+                v += delta * row
             room -= abs(delta) * reach[i]
             record = k == last or k % every == 0
             if record or room <= 0.0:
+                if coefficients:
+                    x = start + v.dot(A)
                 res = residual(x)
                 converged = res <= target
                 room = res - guard

@@ -209,6 +209,17 @@ def test_solver_compare_outputs(tmp_path):
     assert set(entry["iters_pre"]) == {"400", "100"}
 
 
+def test_solver_compare_defaults_report_the_walked_solve(tmp_path):
+    # At the default budget, 6 n^2 walk steps, the walked 100x100 system
+    # reaches the target well inside the cap (1804 iterations at seed 0);
+    # the raw one does not.
+    cfg = default_config("solver_compare", output_dir=tmp_path, trials=1)
+    run_experiment(cfg)
+    entry = io.read_json(tmp_path / "report.json")["trial_results"][0]
+    assert isinstance(entry["iters_pre"][str(cfg.steps)], int)
+    assert entry["iters_raw"] is None
+
+
 def test_theorem_audit_report(tmp_path):
     cfg = default_config("theorem_audit", output_dir=tmp_path, seed=0,
                          trials=8)
@@ -372,9 +383,11 @@ def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
     ["theorem_audit", "--seed", "-3"],
     ["square_walk", "--m", "6", "--n", "6", "--steps", "50", "--trials", "3",
      "-x", "ell=1"],
+    ["solver_compare", "--m", "4", "--n", "6"],
 ], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell",
         "square_walk-m1", "circle-m1", "square_walk-seed-negative",
-        "theorem_audit-seed-negative", "square_walk-ell-start-above-1"])
+        "theorem_audit-seed-negative", "square_walk-ell-start-above-1",
+        "solver_compare-wide"])
 def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "d")])
     assert code == 1

@@ -80,11 +80,16 @@ def test_mean_error_contraction_matches_rate_bound():
         assert vals.mean() <= bound + 3.0 * se
 
 
-def _reference_solve(system, x0, config):
+def _reference_solve(system, x0, config, coefficients=None):
     # The plain loop kaczmarz_solve must reproduce bit for bit: one row
-    # index and one full ||A x - b|| per iteration.
-    x = linalg.as_vector(x0)
+    # index and one full ||A x - b|| per iteration. For m <= n it
+    # iterates on coefficients w and forms x = x0 + A^T w, as
+    # kaczmarz_solve does; coefficients=False iterates on x at any shape.
+    if coefficients is None:
+        coefficients = system.m <= system.n
+    x0 = x = linalg.as_vector(x0)
     A, b = system.A, system.b
+    G, coef, w = A @ A.T, b - A @ x0, np.zeros(system.m)
     draws = np.random.default_rng(config.seed).integers(
         system.m, size=config.max_iters)
 
@@ -101,8 +106,12 @@ def _reference_solve(system, x0, config):
     while not converged and k < config.max_iters:
         i = int(draws[k])
         k += 1
-        a = A[i]
-        x = x + (b[i] - float(a @ x)) * a
+        if coefficients:
+            w[i] += coef[i] - float(G[i] @ w)
+            x = x0 + w @ A
+        else:
+            a = A[i]
+            x = x + (b[i] - float(a @ x)) * a
         converged = resid(x) <= config.target_residual
         if converged or k == config.max_iters or k % config.record_every == 0:
             iters.append(k)
@@ -117,6 +126,14 @@ def _walked(m, n, seed, steps):
 
 def _without_reference(system):
     return LinearSystem(system.A, system.b)
+
+
+def _wide(m, n, seed):
+    # Unit rows and b = A x for a random x: consistent, with many
+    # solutions, so there is no x_ref.
+    rng = np.random.default_rng(seed)
+    A = linalg.normalize_rows(rng.standard_normal((m, n)))
+    return LinearSystem(A, A @ rng.standard_normal(n))
 
 
 def _inconsistent(m, n, seed):
@@ -151,9 +168,11 @@ def _inconsistent(m, n, seed):
                  record_every=10**6), True, False),
     (_inconsistent(30, 10, 8), None,
      SolveConfig(seed=8, max_iters=3000, target_residual=1e-6), False, False),
+    (_wide(8, 20, 9), None,
+     SolveConfig(seed=9, max_iters=20000, target_residual=1e-9), True, False),
 ], ids=["walked", "raw-capped", "no-x_ref", "tall-30x10", "record_every-1",
         "x0-at-solution", "past-a-row-block", "record_every-above-cap",
-        "inconsistent-capped"])
+        "inconsistent-capped", "wide-8x20"])
 def test_solver_matches_reference_loop_bitwise(system, x0, config, converged,
                                                past_block):
     x0 = system.x_ref if x0 == "x_ref" else np.zeros(system.n)
@@ -194,6 +213,37 @@ def test_solver_stop_inside_the_guard_band_matches_reference_bitwise():
     assert np.array_equal(trace.iters, ref_iters)
     assert np.array_equal(trace.error_sq, ref_errors)
     assert trace.converged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coefficient_form_tracks_the_projection_loop_on_walked_systems(seed):
+    # The solve workload's walked systems: the coefficient form stops at
+    # the primal loop's iteration (635, 1033 and 701) with x within
+    # 1.1e-15 of the primal x.
+    system = _walked(50, 50, seed, 15000)
+    config = SolveConfig(seed=seed, max_iters=50000, target_residual=1e-6)
+    x, trace = kaczmarz_solve(system, np.zeros(50), config)
+    ref_x, ref_iters, _, ref_converged = _reference_solve(
+        system, np.zeros(50), config, coefficients=False)
+    assert trace.converged and ref_converged
+    assert trace.iters[-1] == ref_iters[-1]
+    assert np.abs(x - ref_x).max() < 1e-14
+
+
+def test_coefficient_form_tracks_the_projection_loop_without_a_solution():
+    # A repeated row with its own b value: the projections never settle,
+    # and w[0] - w[9] random-walks. After 20k iterations x stays 1.4e-12
+    # from the primal x, whose largest entry is 24.
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((10, 10))
+    M[9] = M[0]
+    system = LinearSystem(linalg.normalize_rows(M), rng.standard_normal(10))
+    config = SolveConfig(seed=0, max_iters=20000, target_residual=1e-6)
+    x, trace = kaczmarz_solve(system, np.zeros(10), config)
+    ref_x, *_ = _reference_solve(system, np.zeros(10), config,
+                                 coefficients=False)
+    assert not trace.converged and trace.iters[-1] == 20000
+    assert np.abs(x - ref_x).max() < 1e-11
 
 
 def test_solver_memory_follows_iterations_run_not_the_cap():
