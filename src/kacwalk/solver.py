@@ -23,20 +23,13 @@ the same iterates; in floating point they part in the last bits.
 The row indices are one stream of ``rng.integers(m)`` drawn _ROW_BLOCK
 at a time, which yields the same values as drawing all max_iters at
 once, so memory and set-up time follow the iterations run, not the cap.
-The loop does not compute ||A x - b|| every iteration. Projecting onto
-row i moves A x - b by delta * A a_i, whose norm is |delta| * reach[i]
-with reach[i] = ||A a_i||, computed once from the n x n Gram matrix as
-reach[i]^2 = a_i . (A^T A) a_i. So after each exact residual res, the
-scalar room = res - _STOP_GUARD * target, decremented by
-|delta| * reach[i] per projection, is a lower bound on how far the
-residual still sits above _STOP_GUARD * target. The exact residual of
-x is computed only when room reaches 0 or at a record point, and it
-alone decides the stop. Iterates, trace and stopping iteration are
-therefore bitwise those of a loop, in the same form, that checks the
-exact residual every iteration, as long as the rounding in room since
-the last exact check stays below the target (it is many orders of
-magnitude smaller unless the target sits at the rounding floor of
-||A x - b||; there the run can only stop later, never earlier).
+The loop does not compute ||A x - b|| every iteration. It computes the
+exact residual of x at fixed check points: every m iterations, at each
+record point and at max_iters; it stops at the first check point where
+that residual is at most the target. Between check points each
+iteration is the projection alone. The iterates never depend on when
+checks run, so only the stopping iteration moves against a loop that
+checks every iteration: it comes later, by at most m - 1, never earlier.
 """
 
 import itertools
@@ -53,19 +46,17 @@ __all__ = [
     "kaczmarz_solve",
 ]
 
-# The exact residual is computed whenever the bound on it falls to this
-# multiple of the target; only the exact one decides the stop.
-_STOP_GUARD = 2.0
 # Row indices drawn per call on the generator.
 _ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """seed drives row sampling; the iteration stops at the first of
-    max_iters or ||A x - b||_2 <= target_residual; the error trace is
-    recorded every record_every iterations (plus iteration 0 and the
-    stopping iteration)."""
+    """seed drives row sampling; the iteration stops at max_iters or at
+    the first check point (every m iterations, and every record point)
+    where ||A x - b||_2 <= target_residual; the error trace is recorded
+    every record_every iterations (plus iteration 0 and the stopping
+    iteration)."""
 
     seed: int
     max_iters: int
@@ -110,16 +101,18 @@ def kaczmarz_solve(system, x0, config):
     Rows are drawn uniformly, _ROW_BLOCK at a time from one
     ``rng.integers(m)`` stream. When m <= n the iteration runs on the
     coefficients w of x = x0 + A^T w (see the module docstring), and
-    the residual, the trace and the result come from that x. Returns the
-    final iterate and a SolveTrace.
+    the residual, the trace and the result come from that x. The exact
+    residual is checked every m iterations, at every record point and
+    at max_iters, and the run stops at the first check that meets the
+    target. Returns the final iterate and a SolveTrace.
     """
     x = linalg.as_vector(x0)
     if x.shape[0] != system.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {system.n}")
-    A, b = system.A, system.b
+    A, b, m = system.A, system.b, system.m
     rng = np.random.default_rng(config.seed)
     rows = itertools.chain.from_iterable(
-        iter(lambda: rng.integers(system.m, size=_ROW_BLOCK).tolist(), None))
+        iter(lambda: rng.integers(m, size=_ROW_BLOCK).tolist(), None))
 
     if system.x_ref is not None:
         ref = system.x_ref
@@ -139,18 +132,15 @@ def kaczmarz_solve(system, x0, config):
         r = A.dot(v) - b
         return math.sqrt(float(r.dot(r)))
 
-    # reach[i] = ||A a_i||, from the n x n Gram matrix: the m x m one
-    # would take m^2 floats for an m x n system.
-    reach = np.sqrt(np.vecdot(A @ (A.T @ A), A)).tolist()
     # The loop's unknown is v, and projection i makes lhs[i] . v equal
     # rhs[i]. For m <= n, v is w in x = x0 + A^T w: lhs is A A^T, no
     # larger than A, and the projection moves w[i] alone. For m > n, v is
     # x itself and lhs is A. Row views are bound once: indexing a list is
     # cheaper than indexing the matrix.
-    coefficients = system.m <= system.n
+    coefficients = m <= system.n
     if coefficients:
         start = x
-        v = np.zeros(system.m)
+        v = np.zeros(m)
         # w is v seen through a memoryview: w[i] += delta updates the
         # double in place with no NumPy scalar made, the same bits faster.
         w = memoryview(v)
@@ -159,36 +149,28 @@ def kaczmarz_solve(system, x0, config):
         v, lhs, rhs = x, list(A), b.tolist()
     target, every, last = (config.target_residual, config.record_every,
                            config.max_iters)
-    guard = _STOP_GUARD * target
-    res = residual(x)
-    room = res - guard
     iters = [0]
     errors = [err(x)]
-    converged = res <= target
-    if not converged:
-        for k, i in enumerate(itertools.islice(rows, last), 1):
-            row = lhs[i]
-            delta = rhs[i] - float(row.dot(v))
-            if coefficients:
-                w[i] += delta
-            else:
-                v += delta * row
-            room -= abs(delta) * reach[i]
-            record = k == last or k % every == 0
-            if record or room <= 0.0:
-                if coefficients:
-                    x = start + v.dot(A)
-                res = residual(x)
-                converged = res <= target
-                room = res - guard
-                if converged or record:
-                    iters.append(k)
-                    errors.append(err(x))
-                    if converged:
-                        break
+    converged = residual(x) <= target
+    k = 0
+    while not converged and k < last:
+        # Project up to the next check point, then check.
+        stop = min(last, k - k % m + m, k - k % every + every)
+        if coefficients:
+            for i in itertools.islice(rows, stop - k):
+                w[i] += rhs[i] - float(lhs[i].dot(v))
+            x = start + v.dot(A)
+        else:
+            for i in itertools.islice(rows, stop - k):
+                row = lhs[i]
+                v += (rhs[i] - float(row.dot(v))) * row
+        k = stop
+        converged = residual(x) <= target
+        if converged or k == last or k % every == 0:
+            iters.append(k)
+            errors.append(err(x))
     return x, SolveTrace(
         iters=np.asarray(iters, dtype=np.int64),
         error_sq=np.asarray(errors, dtype=np.float64),
         converged=bool(converged),
     )
-

@@ -211,7 +211,7 @@ def test_solver_compare_outputs(tmp_path):
 
 def test_solver_compare_defaults_report_the_walked_solve(tmp_path):
     # At the default budget, 6 n^2 walk steps, the walked 100x100 system
-    # reaches the target well inside the cap (1804 iterations at seed 0);
+    # reaches the target well inside the cap (1900 iterations at seed 0);
     # the raw one does not.
     cfg = default_config("solver_compare", output_dir=tmp_path, trials=1)
     run_experiment(cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kacwalk import linalg
-from kacwalk.solver import _ROW_BLOCK, _STOP_GUARD, SolveConfig, kaczmarz_solve
+from kacwalk.solver import _ROW_BLOCK, SolveConfig, kaczmarz_solve
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import LinearSystem, WalkConfig, run_walk
 
@@ -82,9 +82,11 @@ def test_mean_error_contraction_matches_rate_bound():
 
 def _reference_solve(system, x0, config, coefficients=None):
     # The plain loop kaczmarz_solve must reproduce bit for bit: one row
-    # index and one full ||A x - b|| per iteration. For m <= n it
-    # iterates on coefficients w and forms x = x0 + A^T w, as
-    # kaczmarz_solve does; coefficients=False iterates on x at any shape.
+    # index and one full ||A x - b|| per iteration, but only a check
+    # point (every m iterations, a record point or max_iters) may stop
+    # it. For m <= n it iterates on coefficients w and forms
+    # x = x0 + A^T w, as kaczmarz_solve does; coefficients=False
+    # iterates on x at any shape.
     if coefficients is None:
         coefficients = system.m <= system.n
     x0 = x = linalg.as_vector(x0)
@@ -112,8 +114,10 @@ def _reference_solve(system, x0, config, coefficients=None):
         else:
             a = A[i]
             x = x + (b[i] - float(a @ x)) * a
-        converged = resid(x) <= config.target_residual
-        if converged or k == config.max_iters or k % config.record_every == 0:
+        record = k == config.max_iters or k % config.record_every == 0
+        converged = (resid(x) <= config.target_residual
+                     and (record or k % system.m == 0))
+        if converged or record:
             iters.append(k)
             errors.append(err(x))
     return x, np.array(iters), np.array(errors), converged
@@ -188,37 +192,52 @@ def test_solver_matches_reference_loop_bitwise(system, x0, config, converged,
     assert (trace.iters[-1] > _ROW_BLOCK) == past_block
 
 
-def test_solver_stop_inside_the_guard_band_matches_reference_bitwise():
-    # Pick the target just under the residual after 300 iterations: the
-    # iterations before the stop then sit between target and
-    # _STOP_GUARD * target, where the exact residual is checked and must
-    # not stop the run.
-    system = gaussian_system(10, 10, 7)
-    x0 = np.zeros(10)
+@pytest.mark.parametrize("m,n", [(12, 12), (30, 10)])
+def test_solver_checks_never_perturb_the_iterate(m, n):
+    # A target no check meets: a check or record at every iteration and
+    # none before the cap leave the same iterate, square (coefficient
+    # form) and tall (projection on x).
+    system = gaussian_system(m, n, 5)
+    runs = [kaczmarz_solve(system, np.zeros(n),
+                           SolveConfig(seed=5, max_iters=1000,
+                                       target_residual=1e-300,
+                                       record_every=every))
+            for every in (1, 10**6)]
+    (x_all, t_all), (x_end, t_end) = runs
+    assert not t_all.converged and not t_end.converged
+    assert np.array_equal(x_all, x_end)
+    assert len(t_all) == 1001 and list(t_end.iters) == [0, 1000]
+    assert np.array_equal(t_all.error_sq[t_end.iters], t_end.error_sq)
 
-    def residual_after(k):
-        cfg = SolveConfig(seed=7, max_iters=k, target_residual=1e-300)
-        x = _reference_solve(system, x0, cfg)[0]
+
+def test_solver_stops_at_the_first_check_point_that_meets_the_target():
+    # Check points are the multiples of m = 50 and of record_every = 70:
+    # the stop is one of them, and the exact residual at the check point
+    # before it is still above the target.
+    system = _walked(50, 50, 0, 15000)
+    target = 1e-6
+
+    def solve(cap):
+        return kaczmarz_solve(system, np.zeros(50),
+                              SolveConfig(seed=0, max_iters=cap,
+                                          target_residual=target,
+                                          record_every=70))
+
+    def residual(x):
         return float(np.linalg.norm(system.A @ x - system.b))
 
-    target = 0.999 * residual_after(300)
-    config = SolveConfig(seed=7, max_iters=5000, target_residual=target)
-    x, trace = kaczmarz_solve(system, x0, config)
-    ref_x, ref_iters, ref_errors, ref_converged = _reference_solve(
-        system, x0, config)
-    stop = int(ref_iters[-1])
-    assert ref_converged and stop > 1
-    assert target < residual_after(stop - 1) <= _STOP_GUARD * target
-    assert np.array_equal(x, ref_x)
-    assert np.array_equal(trace.iters, ref_iters)
-    assert np.array_equal(trace.error_sq, ref_errors)
-    assert trace.converged
+    x, trace = solve(50000)
+    stop = int(trace.iters[-1])
+    assert trace.converged and residual(x) <= target
+    assert stop % 50 == 0 or stop % 70 == 0
+    before = max(k for k in range(1, stop) if k % 50 == 0 or k % 70 == 0)
+    assert residual(solve(before)[0]) > target
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_coefficient_form_tracks_the_projection_loop_on_walked_systems(seed):
     # The solve workload's walked systems: the coefficient form stops at
-    # the primal loop's iteration (635, 1033 and 701) with x within
+    # the primal loop's iteration (650, 1050 and 750) with x within
     # 1.1e-15 of the primal x.
     system = _walked(50, 50, seed, 15000)
     config = SolveConfig(seed=seed, max_iters=50000, target_residual=1e-6)
@@ -256,6 +275,22 @@ def test_solver_memory_follows_iterations_run_not_the_cap():
     tracemalloc.start()
     try:
         _, trace = kaczmarz_solve(system, np.zeros(20), config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged and trace.iters[-1] < _ROW_BLOCK
+    assert peak < 4 * system.A.nbytes
+
+
+def test_solver_memory_on_wide_systems_stays_near_A():
+    # The wide twin of the test above: an n x n Gram matrix would take
+    # 72 MB for these 3000 columns, and the coefficient form needs only
+    # the 20 x 20 A A^T besides A.
+    system = _wide(20, 3000, 2)
+    config = SolveConfig(seed=2, max_iters=10**7, target_residual=1e-10)
+    tracemalloc.start()
+    try:
+        _, trace = kaczmarz_solve(system, np.zeros(3000), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
