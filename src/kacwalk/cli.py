@@ -24,7 +24,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="experiment", required=True,
                                 metavar="experiment")
     for name in sorted(experiments.EXPERIMENTS):
-        doc = (experiments.EXPERIMENTS[name].__doc__ or "").strip()
+        doc = (experiments.EXPERIMENTS[name].run.__doc__ or "").strip()
         summary = doc.splitlines()[0] if doc else None
         sp = sub.add_parser(name, help=summary, description=doc,
                             formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -44,7 +44,8 @@ def build_parser():
 def resolve_config(args):
     """Merge defaults, the optional config file, and CLI overrides."""
     if args.config is not None:
-        cfg = experiments.read_config(args.config)
+        cfg = experiments.parse_config(
+            args.config.read_text(encoding="utf-8"))
         if cfg.experiment != args.experiment:
             raise ValueError(
                 f"config file is for {cfg.experiment!r}, "

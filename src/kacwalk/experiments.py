@@ -4,12 +4,13 @@ Each experiment consumes an ExperimentConfig and runs a deterministic
 pipeline. run_experiment creates the configured output directory, the
 pipeline writes its CSV artifacts there and returns its report, and
 run_experiment writes that as ``report.json`` and returns the written
-paths. The few experiment-specific options live in the config's
-``extra`` table as strings: EXTRAS declares each key an experiment reads
-with its parser and default, and building a config rejects any other
-key, or a value its parser refuses; REQUIRES holds each pipeline's shape
-checks. Histogram bins, the mean-field grid and the solver's target
-residual are the fixed constants below.
+paths. EXPERIMENTS holds one Experiment record per name: the pipeline,
+its field defaults, the ``extra`` keys it reads and its shape checks.
+The few experiment-specific options live in the config's ``extra``
+table as strings: the record's extras declare each key with its parser
+and default, and building a config rejects any other key, or a value
+its parser refuses. Histogram bins, the mean-field grid and the
+solver's target residual are the fixed constants below.
 
 Config files are flat ``key = value`` text: the canonical keys are
 experiment, output_dir and the integer settings FIELDS declares;
@@ -17,8 +18,10 @@ anything else lands in ``extra``. Blank lines and ``#`` comments are
 ignored.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +37,11 @@ from kacwalk.theory import expected_gain_exact, predict_linear, predict_logistic
 from kacwalk.walk import WalkConfig, run_walk
 
 __all__ = [
+    "Experiment",
     "ExperimentConfig",
     "FIELDS",
     "default_config",
     "parse_config",
-    "read_config",
     "EXPERIMENTS",
     "run_experiment",
 ]
@@ -47,26 +50,10 @@ __all__ = [
 FIELDS = {
     "seed": (0, "base seed (trial t uses seed + t)"),
     "steps": (0, "walk steps per trial"),
-    "m": (1, "row count"),
+    "m": (2, "row count"),
     "n": (1, "column count"),
     "trials": (1, "number of seeded trials"),
     "snapshot_every": (1, "spectrum/trace sampling stride"),
-}
-
-# Per-experiment canonical field defaults.
-DEFAULTS = {
-    "square_walk": dict(m=100, n=100, seed=0, steps=20000,
-                        snapshot_every=100, trials=10),
-    "overdetermined": dict(m=100, n=25, seed=0, steps=20000,
-                           snapshot_every=200, trials=10),
-    "n_plus_one": dict(m=31, n=30, seed=0, steps=1000000,
-                       snapshot_every=100000, trials=3),
-    "circle": dict(m=200, n=2, seed=0, steps=100000,
-                   snapshot_every=1000, trials=20),
-    "solver_compare": dict(m=100, n=100, seed=0, steps=60000,
-                           snapshot_every=100, trials=20),
-    "theorem_audit": dict(m=10, n=10, seed=0, steps=1,
-                          snapshot_every=1, trials=200),
 }
 
 # Fixed settings; the reports echo the ones with numerical content.
@@ -122,32 +109,17 @@ def _shapes(text):
     return tuple(shapes)
 
 
-# The ``extra`` keys each pipeline reads (see its docstring): key ->
-# (parser, default). ell's default None means n.
-EXTRAS = {
-    "square_walk": {"ell": (int, None)},
-    "overdetermined": {},
-    "n_plus_one": {},
-    "circle": {"meanfield": (_flag, False)},
-    "solver_compare": {"max_iters": (_iters, 25000), "budgets": (_budgets, ())},
-    "theorem_audit": {"shapes": (_shapes, ((4, 4), (6, 6), (5, 4), (8, 3)))},
-}
-
-
 def _ell(cfg):
     ell = _extra(cfg, "ell")
     return cfg.n if ell is None else ell
 
 
 def _audit_fields(cfg):
+    stock = EXPERIMENTS["theorem_audit"].defaults
     unread = [name for name in ("m", "n", "steps", "snapshot_every")
-              if getattr(cfg, name) != DEFAULTS["theorem_audit"][name]]
+              if getattr(cfg, name) != stock[name]]
     return unread and (f"theorem_audit does not read {', '.join(unread)}; "
                        f"set instance shapes with -x shapes=MxN")
-
-
-def _pairs(c):
-    return c.m < 2 and f"the walk needs m >= 2 (a row pair), got {c.m}"
 
 
 def _logistic_start(c):
@@ -166,28 +138,27 @@ def _logistic_start(c):
         f"prediction needs a smaller singular value index than {ell}")
 
 
-# Per pipeline, checks that return why a config does not suit it (or a
-# false value). run_experiment runs them before it creates the output
-# directory; building the config cannot, as a config file may set m and
-# leave n to the command line. overdetermined and n_plus_one get m >= 2
-# from their shape rule.
-REQUIRES = {
-    "square_walk": (
-        _pairs,
-        lambda c: c.m != c.n and "square_walk needs m == n",
-        lambda c: not 1 <= _ell(c) <= c.n
-        and f"ell must lie in [1, {c.n}], got {_ell(c)}",
-        _logistic_start),
-    "overdetermined": (lambda c: c.m <= c.n and "overdetermined needs m > n",),
-    "n_plus_one": (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",),
-    "circle": (
-        _pairs,
-        lambda c: c.n != 2 and "circle is the two-column case; set n = 2",),
-    "solver_compare": (
-        _pairs,
-        lambda c: c.m < c.n and "solver_compare needs m >= n",),
-    "theorem_audit": (_audit_fields,),
-}
+class Experiment(NamedTuple):
+    """One ``kkw`` experiment. run is the pipeline, whose docstring is the
+    subcommand's help. defaults are the canonical field values. extras
+    maps each ``extra`` key the pipeline reads to (parser, default).
+    requires holds checks that return why a config does not suit the
+    pipeline (or a false value); run_experiment runs them before it
+    creates the output directory. Building the config cannot, as a
+    config file may set m and leave n to the command line."""
+
+    run: Callable
+    defaults: dict
+    extras: dict
+    requires: tuple
+
+
+def _experiment(name):
+    """The EXPERIMENTS record for name; any other name is an error."""
+    if name not in EXPERIMENTS:
+        raise ValueError(
+            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    return EXPERIMENTS[name]
 
 
 @dataclass
@@ -195,8 +166,8 @@ class ExperimentConfig:
     """Fully resolved settings for one experiment run.
 
     seed is the base seed: trial t uses seed + t throughout. extra holds
-    experiment-specific string options: only the keys EXTRAS lists, each
-    with a value its parser accepts.
+    experiment-specific string options: only the keys the experiment's
+    record lists in its extras, each with a value its parser accepts.
     """
 
     experiment: str
@@ -210,16 +181,11 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; "
-                f"choose from {sorted(EXPERIMENTS)}"
-            )
+        allowed = _experiment(self.experiment).extras
         for name, (lowest, _) in FIELDS.items():
             if getattr(self, name) < lowest:
                 raise ValueError(
                     f"{name} must be >= {lowest}, got {getattr(self, name)}")
-        allowed = EXTRAS[self.experiment]
         for key in sorted(self.extra):
             if key not in allowed:
                 raise ValueError(
@@ -235,11 +201,7 @@ class ExperimentConfig:
 
 def default_config(experiment, output_dir=".", **overrides):
     """The stock config for an experiment, with keyword overrides."""
-    if experiment not in DEFAULTS:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; choose from {sorted(DEFAULTS)}"
-        )
-    fields = dict(DEFAULTS[experiment])
+    fields = dict(_experiment(experiment).defaults)
     extra = overrides.pop("extra", {})
     fields.update(overrides)
     return ExperimentConfig(experiment=experiment, output_dir=str(output_dir),
@@ -271,17 +233,13 @@ def parse_config(text):
     return default_config(experiment, extra=extra, **fields)
 
 
-def read_config(path):
-    return parse_config(Path(path).read_text(encoding="utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # small shared helpers
 
 
 def _extra(cfg, key):
     """The parsed value of extra ``key``, or its declared default."""
-    parse, default = EXTRAS[cfg.experiment][key]
+    parse, default = EXPERIMENTS[cfg.experiment].extras[key]
     value = cfg.extra.get(key)
     return default if value is None else parse(value)
 
@@ -562,27 +520,58 @@ def exp_theorem_audit(cfg, out, files):
     }
 
 
+# name -> Experiment(run, defaults, extras, requires). ell's default None
+# means n. The m >= 2 a row pair needs is FIELDS' floor.
 EXPERIMENTS = {
-    "square_walk": exp_square_walk,
-    "overdetermined": exp_overdetermined,
-    "n_plus_one": exp_n_plus_one,
-    "circle": exp_circle,
-    "solver_compare": exp_solver_compare,
-    "theorem_audit": exp_theorem_audit,
+    "square_walk": Experiment(
+        exp_square_walk,
+        dict(m=100, n=100, seed=0, steps=20000, snapshot_every=100, trials=10),
+        {"ell": (int, None)},
+        (lambda c: c.m != c.n and "square_walk needs m == n",
+         lambda c: not 1 <= _ell(c) <= c.n
+         and f"ell must lie in [1, {c.n}], got {_ell(c)}",
+         _logistic_start)),
+    "overdetermined": Experiment(
+        exp_overdetermined,
+        dict(m=100, n=25, seed=0, steps=20000, snapshot_every=200, trials=10),
+        {},
+        (lambda c: c.m <= c.n and "overdetermined needs m > n",)),
+    "n_plus_one": Experiment(
+        exp_n_plus_one,
+        dict(m=31, n=30, seed=0, steps=1000000, snapshot_every=100000,
+             trials=3),
+        {},
+        (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",)),
+    "circle": Experiment(
+        exp_circle,
+        dict(m=200, n=2, seed=0, steps=100000, snapshot_every=1000, trials=20),
+        {"meanfield": (_flag, False)},
+        (lambda c: c.n != 2 and "circle is the two-column case; set n = 2",)),
+    "solver_compare": Experiment(
+        exp_solver_compare,
+        dict(m=100, n=100, seed=0, steps=60000, snapshot_every=100, trials=20),
+        {"max_iters": (_iters, 25000), "budgets": (_budgets, ())},
+        (lambda c: c.m < c.n and "solver_compare needs m >= n",)),
+    "theorem_audit": Experiment(
+        exp_theorem_audit,
+        dict(m=10, n=10, seed=0, steps=1, snapshot_every=1, trials=200),
+        {"shapes": (_shapes, ((4, 4), (6, 6), (5, 4), (8, 3)))},
+        (_audit_fields,)),
 }
 
 
 def run_experiment(cfg):
-    """Run the named pipeline, once its REQUIRES hold, in cfg.output_dir
-    (created if missing) and write its report as ``report.json``; returns
-    the written paths, report.json last."""
-    for check in REQUIRES[cfg.experiment]:
+    """Run the named pipeline, once its record's requires hold, in
+    cfg.output_dir (created if missing) and write its report as
+    ``report.json``; returns the written paths, report.json last."""
+    experiment = EXPERIMENTS[cfg.experiment]
+    for check in experiment.requires:
         if problem := check(cfg):
             raise ValueError(problem)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
-    report = EXPERIMENTS[cfg.experiment](cfg, out, files)
+    report = experiment.run(cfg, out, files)
     report["experiment"] = cfg.experiment
     files.append(io.write_json(out / "report.json", report))
     return files

@@ -20,9 +20,10 @@ A A^T would outgrow A, so the loop projects x itself, and memory stays a
 few copies of A on tall input. In exact arithmetic both forms produce
 the same iterates; in floating point they part in the last bits.
 
-The row indices are one stream of ``rng.integers(m)`` drawn _ROW_BLOCK
-at a time, which yields the same values as drawing all max_iters at
-once, so memory and set-up time follow the iterations run, not the cap.
+The row indices are the walk's one stream of ``rng.integers(m)``
+(``walk._draws``, fetched in blocks), which yields the same values as
+drawing all max_iters at once, so memory and set-up time follow the
+iterations run, not the cap.
 The loop does not compute ||A x - b|| every iteration. It computes the
 exact residual of x at fixed check points: every m iterations, at each
 record point and at max_iters; it stops at the first check point where
@@ -39,15 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kacwalk import linalg
+from kacwalk.walk import _draws
 
 __all__ = [
     "SolveConfig",
     "SolveTrace",
     "kaczmarz_solve",
 ]
-
-# Row indices drawn per call on the generator.
-_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,8 @@ def kaczmarz_solve(system, x0, config):
     """Iterate row projections from x0 until the residual target or the
     iteration budget is hit.
 
-    Rows are drawn uniformly, _ROW_BLOCK at a time from one
-    ``rng.integers(m)`` stream. When m <= n the iteration runs on the
+    Rows are drawn uniformly from the walk's one ``rng.integers(m)``
+    stream, ``walk._draws``. When m <= n the iteration runs on the
     coefficients w of x = x0 + A^T w (see the module docstring), and
     the residual, the trace and the result come from that x. The exact
     residual is checked every m iterations, at every record point and
@@ -110,9 +109,7 @@ def kaczmarz_solve(system, x0, config):
     if x.shape[0] != system.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {system.n}")
     A, b, m = system.A, system.b, system.m
-    rng = np.random.default_rng(config.seed)
-    rows = itertools.chain.from_iterable(
-        iter(lambda: rng.integers(m, size=_ROW_BLOCK).tolist(), None))
+    rows = _draws(np.random.default_rng(config.seed), m)
 
     if system.x_ref is not None:
         ref = system.x_ref

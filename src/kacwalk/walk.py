@@ -50,7 +50,8 @@ ROW_NORM_TOL = 1e-12
 REFERENCE_RESIDUAL_TOL = 1e-10
 # Pairs with 1 - c^2 below this are parallel up to sign and left alone.
 DEGENERATE_TOL = 1e-12
-# Walk loops draw their row indices this many at a time.
+# The walk loops and the solver draw their row indices this many at a
+# time (_draws).
 _DRAW_BLOCK = 4096
 # run_walk applies the steps of systems with at least this many rows one
 # dependency level at a time; on fewer it calls walk_step once per step.
@@ -170,17 +171,23 @@ class SpectrumSnapshot:
     residual_inf: float | None = None
 
 
-class _BlockDraws:
-    """A source of ``integers(m)`` for one fixed m: one stream of draws,
-    fetched lazily from a numpy Generator _DRAW_BLOCK at a time.
+def _draws(rng, m):
+    """One iterator over the stream of ``rng.integers(m)``, fetched
+    _DRAW_BLOCK at a time. ``rng.integers(m, size=K)`` yields exactly the
+    values of K scalar ``rng.integers(m)`` calls, so the stream is that
+    of scalar draws, at a fraction of the interpreter cost."""
+    return itertools.chain.from_iterable(
+        iter(lambda: rng.integers(m, size=_DRAW_BLOCK).tolist(), None))
 
-    ``rng.integers(m, size=K)`` yields exactly the values of K scalar
-    ``rng.integers(m)`` calls, so a walk driven through this source takes
-    the same pairs as one that draws each index on its own, at a fraction
-    of the interpreter cost. Any other bound is refused, and so is m < 2,
-    which has no pair. ``integers`` and ``pairs`` both read the one
-    chained iterator, so ``pairs(count)`` serves the count pairs of
-    sample_pair's rule and leaves the stream where those calls would.
+
+class _BlockDraws:
+    """A source of ``integers(m)`` for one fixed m: the _draws stream of
+    a numpy Generator, so a walk driven through this source takes the
+    same pairs as one that draws each index on its own. Any other bound
+    is refused, and so is m < 2, which has no pair. ``integers`` and
+    ``pairs`` both read the one stream, so ``pairs(count)`` serves the
+    count pairs of sample_pair's rule and leaves the stream where those
+    calls would.
     """
 
     __slots__ = ("_m", "_draw")
@@ -190,8 +197,7 @@ class _BlockDraws:
         if m < 2:
             raise ValueError(f"need at least two rows to form a pair, got {m}")
         self._m = m
-        blocks = iter(lambda: rng.integers(m, size=_DRAW_BLOCK).tolist(), None)
-        self._draw = itertools.chain.from_iterable(blocks).__next__
+        self._draw = _draws(rng, m).__next__
 
     def integers(self, m):
         if m != self._m:
@@ -332,8 +338,6 @@ def run_walk(system, config):
         at step 0, every config.snapshot_every steps (default: every n
         steps), and at the final step.
     """
-    if system.m < 2:
-        raise ValueError("the walk needs at least two rows")
     work = system.copy()
     m, steps = work.m, config.steps
     rng = _BlockDraws(np.random.default_rng(config.seed), m)

@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import importlib.util
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,15 @@ def test_fields_table_drives_the_config_and_every_subcommand():
         with pytest.raises(ValueError, match=(
                 f"^{name} must be >= {lowest}, got {lowest - 1}$")):
             cli.resolve_config(args)
+
+
+def test_readme_extras_table_lists_exactly_the_declared_extras():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", readme, re.MULTILINE)
+    declared = [(name, key)
+                for name, record in experiments.EXPERIMENTS.items()
+                for key in record.extras]
+    assert sorted(rows) == sorted(declared)
 
 
 MODULES = ["kacwalk"] + sorted(

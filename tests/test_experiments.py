@@ -4,7 +4,6 @@ import pytest
 from kacwalk import cli, experiments, io
 from kacwalk.experiments import (
     EXPERIMENTS,
-    EXTRAS,
     ExperimentConfig,
     default_config,
     parse_config,
@@ -287,12 +286,22 @@ class _ReadKeys(dict):
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_stock_configs_pass_their_checks_and_default_their_extras(experiment):
+    cfg = default_config(experiment)
+    record = EXPERIMENTS[experiment]
+    assert [problem for check in record.requires
+            if (problem := check(cfg))] == []
+    for key, (_, default) in record.extras.items():
+        assert experiments._extra(cfg, key) == default
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_pipelines_read_exactly_their_declared_extras(tmp_path, experiment):
     cfg = default_config(experiment, output_dir=tmp_path,
                          **TINY_CONFIGS[experiment])
     cfg.extra = _ReadKeys(cfg.extra)
     run_experiment(cfg)
-    assert cfg.extra.read == set(EXTRAS[experiment])
+    assert cfg.extra.read == set(EXPERIMENTS[experiment].extras)
 
 
 # --------------------------------------------------------------------- cli

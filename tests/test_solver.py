@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kacwalk import linalg
-from kacwalk.solver import _ROW_BLOCK, SolveConfig, kaczmarz_solve
+from kacwalk.solver import SolveConfig, kaczmarz_solve
 from kacwalk.systems import gaussian_system, random_orthogonal_system
-from kacwalk.walk import LinearSystem, WalkConfig, run_walk
+from kacwalk.walk import _DRAW_BLOCK, LinearSystem, WalkConfig, run_walk
 
 
 def test_solver_converges_on_orthogonal_system():
@@ -29,6 +29,16 @@ def test_solver_starting_at_solution_stops_immediately():
     assert len(trace) == 1
     assert trace.iters[0] == 0
     assert trace.error_sq[0] == 0.0
+
+
+def test_solver_projects_onto_a_single_row():
+    # One row has no pair to walk, but Kaczmarz still projects onto it:
+    # the first iteration lands on its hyperplane.
+    sys0 = LinearSystem(np.array([[0.6, 0.8, 0.0]]), np.array([2.0]))
+    cfg = SolveConfig(seed=0, max_iters=10, target_residual=1e-12)
+    x, trace = kaczmarz_solve(sys0, np.zeros(3), cfg)
+    assert trace.converged and trace.iters.tolist() == [0, 1]
+    assert abs(float(sys0.A[0] @ x) - 2.0) < 1e-12
 
 
 def test_solver_error_metric_without_reference_is_residual_sq():
@@ -165,7 +175,7 @@ def _inconsistent(m, n, seed):
      SolveConfig(seed=6, max_iters=50, target_residual=1e-8), True, False),
     # Stops at iteration 6592, in the second block of row draws.
     (gaussian_system(16, 12, 3), None,
-     SolveConfig(seed=3, max_iters=3 * _ROW_BLOCK, target_residual=1e-10),
+     SolveConfig(seed=3, max_iters=3 * _DRAW_BLOCK, target_residual=1e-10),
      True, True),
     (_walked(12, 12, 1, 2000), None,
      SolveConfig(seed=1, max_iters=20000, target_residual=1e-8,
@@ -189,7 +199,7 @@ def test_solver_matches_reference_loop_bitwise(system, x0, config, converged,
     assert trace.converged == ref_converged == converged
     # A case that stops past the first block checks that blocks of row
     # draws chain into one stream.
-    assert (trace.iters[-1] > _ROW_BLOCK) == past_block
+    assert (trace.iters[-1] > _DRAW_BLOCK) == past_block
 
 
 @pytest.mark.parametrize("m,n", [(12, 12), (30, 10)])
@@ -278,7 +288,7 @@ def test_solver_memory_follows_iterations_run_not_the_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.converged and trace.iters[-1] < _ROW_BLOCK
+    assert trace.converged and trace.iters[-1] < _DRAW_BLOCK
     assert peak < 4 * system.A.nbytes
 
 
@@ -294,7 +304,7 @@ def test_solver_memory_on_wide_systems_stays_near_A():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.converged and trace.iters[-1] < _ROW_BLOCK
+    assert trace.converged and trace.iters[-1] < _DRAW_BLOCK
     assert peak < 4 * system.A.nbytes
 
 

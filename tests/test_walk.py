@@ -189,6 +189,12 @@ def test_run_walk_zero_steps():
     assert np.array_equal(final.A, sys0.A)
 
 
+def test_run_walk_refuses_a_single_row():
+    sys0 = LinearSystem(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="at least two rows"):
+        run_walk(sys0, WalkConfig(seed=0, steps=5))
+
+
 def test_run_walk_leaves_input_untouched_and_is_seed_deterministic():
     sys0 = make_system(5, 5, 10)
     before = sys0.A.copy()
