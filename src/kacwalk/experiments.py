@@ -34,7 +34,7 @@ from kacwalk.meanfield import (
 )
 from kacwalk.solver import SolveConfig, kaczmarz_solve
 from kacwalk.theory import expected_gain_exact, predict_linear, predict_logistic
-from kacwalk.walk import WalkConfig, run_walk
+from kacwalk.walk import WalkConfig, _walk, run_walk
 
 __all__ = [
     "Experiment",
@@ -438,7 +438,9 @@ def exp_solver_compare(cfg, out, files):
     cfg.steps is the walk budget for the canonical comparison; each solve
     runs to residual 1e-6. Extras: max_iters (iteration cap per solve,
     default 25000) and budgets (comma-separated extra walk budgets, each
-    written with a _b<budget> suffix; default none). Each budget runs once.
+    written with a _b<budget> suffix; default none). Each trial walks
+    once, to its largest budget, and solves at each budget on the way,
+    in ascending order; a repeated budget is solved once.
     The default budget, 60000 steps, is 6 n^2 at the default 100x100: it
     lifts sigma_min to about 0.9, and the walked solve stops within a few
     thousand iterations, while the raw one runs into the cap (its
@@ -457,15 +459,15 @@ def exp_solver_compare(cfg, out, files):
         _, trace = kaczmarz_solve(system, x0, scfg)
         files.append(io.write_trace_csv(out / f"solve_raw_{seed}.csv", trace))
         entry = {"seed": seed, "iters_raw": _iters_to_target(trace),
-                 "iters_pre": {}}
-        for budget in budgets:
-            walked, _, snaps = run_walk(system, WalkConfig(
-                seed=seed, steps=budget, snapshot_every=max(1, budget)))
+                 "iters_pre": dict.fromkeys(map(str, budgets))}
+        for budget, walked, _ in _walk(system, seed, sorted(budgets)):
             _, trace = kaczmarz_solve(walked, x0, scfg)
             if budget == cfg.steps:
                 name = f"solve_pre_{seed}.csv"
-                entry["sigma_min_before"] = float(snaps[0].sigmas[-1])
-                entry["sigma_min_after"] = float(snaps[-1].sigmas[-1])
+                entry["sigma_min_before"] = float(
+                    linalg.singular_values(system.A)[-1])
+                entry["sigma_min_after"] = float(
+                    linalg.singular_values(walked.A)[-1])
             else:
                 name = f"solve_pre_{seed}_b{budget}.csv"
             files.append(io.write_trace_csv(out / name, trace))
@@ -541,7 +543,9 @@ EXPERIMENTS = {
         dict(m=31, n=30, seed=0, steps=1000000, snapshot_every=100000,
              trials=3),
         {},
-        (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",)),
+        (lambda c: c.m != c.n + 1 and "n_plus_one needs m == n + 1",
+         lambda c: c.n < 2 and "n_plus_one needs n >= 2: with one column "
+         "every row pair is parallel")),
     "circle": Experiment(
         exp_circle,
         dict(m=200, n=2, seed=0, steps=100000, snapshot_every=1000, trials=20),

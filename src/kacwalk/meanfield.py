@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, _segments
+from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, _stops
 
 __all__ = [
     "TWO_PI",
@@ -130,13 +130,13 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     steps (None records only the endpoints), and the final step; skipped
     counts degenerate pairs left unchanged.
 
-    The run goes through run_walk's segment loop (walk._segments):
-    segments end at each sample point and after at most _DRAW_BLOCK
-    steps, and each comes with its pairs, read from one _BlockDraws
-    stream under sample_pair's rule, so they are the pairs of one
-    sample_pair call per step on the same generator. Each pair is
-    applied by one _step_angles call, so the angles, the samples and
-    skipped are those of the per-step loop bit for bit.
+    The pairs come a piece at a time from _BlockDraws.segments, as in
+    run_walk's level engine: pieces of at most _DRAW_BLOCK steps that
+    end at each sample point, read from one _BlockDraws stream under
+    sample_pair's rule, so they are the pairs of one sample_pair call per
+    step on the same generator. Each pair is applied by one _step_angles
+    call, so the angles, the samples and skipped are those of the
+    per-step loop bit for bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -149,16 +149,16 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     # cost of numpy scalar indexing on every step.
     theta = ensemble.angles.tolist()
     rng = _BlockDraws(np.random.default_rng(seed), n)
-    samples = [(0, _order4(np.array(theta)))]
-    # With no stride the only sample points are the two endpoints.
-    every = sample_every or steps
+    samples = []
     skipped = 0
-    for _, k, ii, jj in _segments(rng, steps, every):
-        for i, j in zip(ii, jj):
-            if not _step_angles(theta, i, j):
-                skipped += 1
-        if k % every == 0 or k == steps:
-            samples.append((k, _order4(np.array(theta))))
+    # With no stride the only sample points are the two endpoints.
+    stops = _stops(steps, sample_every or max(steps, 1))
+    for p, k in zip([0, *stops], stops):
+        for _, _, ii, jj in rng.segments(p, k):
+            for i, j in zip(ii, jj):
+                if not _step_angles(theta, i, j):
+                    skipped += 1
+        samples.append((k, _order4(np.array(theta))))
     return CircleEnsemble(theta), samples, skipped
 
 

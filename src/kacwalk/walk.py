@@ -8,15 +8,18 @@ toward mutual orthogonality while the squared Frobenius norm stays pinned
 at the row count.
 
 ``walk_step`` is the reference kernel: one step, read then write.
-``run_walk`` calls it once per step on systems with fewer than 16 rows.
-On larger systems it applies the same steps one dependency level at a
-time: a level is a set of steps that all read their rows before any of
-them writes its row j, gathered, updated with walk_step's formulas as
-whole-array operations and scattered back. Levels never cross a segment
-of ``_segments`` (which ends at each snapshot and after at most 4096
-steps), and ``np.vecdot`` over rows of unit stride calls the same BLAS
-``ddot`` as ``ndarray.dot``, so the rows, the log and every snapshot
-are bit for bit those of the per-step loop. Both loops, and
+Every walk runs through one generator, ``_walk``, which walks a copy of
+the system and hands it back at each of a list of stops; ``run_walk``
+takes a snapshot at each. On systems with fewer than 16 rows ``_walk``
+calls ``sample_pair`` and ``walk_step`` once per step. On larger ones it
+applies the same steps one dependency level at a time: a level is a set
+of steps that all read their rows before any of them writes its row j,
+gathered, updated with walk_step's formulas as whole-array operations
+and scattered back. Levels never cross a piece of
+``_BlockDraws.segments`` (at most 4096 steps, never past a stop), and
+``np.vecdot`` over rows of unit stride calls the same BLAS ``ddot`` as
+``ndarray.dot``, so the rows, the log and every snapshot are bit for bit
+those of the per-step loop, wherever the stops fall. Both loops, and
 ``run_circle_walk``, draw their row indices from one ``_BlockDraws``
 stream per run.
 """
@@ -185,15 +188,15 @@ class _BlockDraws:
     a numpy Generator, so a walk driven through this source takes the
     same pairs as one that draws each index on its own. Any other bound
     is refused, and so is m < 2, which has no pair. ``integers`` and
-    ``pairs`` both read the one stream, so ``pairs(count)`` serves the
-    count pairs of sample_pair's rule and leaves the stream where those
-    calls would.
+    ``segments`` both read the one stream, so the pairs ``segments``
+    serves are those of sample_pair's rule, and it leaves the stream
+    where those calls would.
     """
 
     __slots__ = ("_m", "_draw")
 
     def __init__(self, rng, m):
-        # Below two there is no pair, and pairs() would reject forever.
+        # Below two there is no pair, and segments() would reject forever.
         if m < 2:
             raise ValueError(f"need at least two rows to form a pair, got {m}")
         self._m = m
@@ -204,42 +207,39 @@ class _BlockDraws:
             raise ValueError(f"this source draws below {self._m}, not {m}")
         return self._draw()
 
-    def pairs(self, count):
-        """The next count pairs that ``sample_pair(self, m)`` would draw,
-        as a list of i and a list of j, from the same stream."""
+    def segments(self, start, stop):
+        """Yield (p, k, ii, jj) for steps start + 1 .. stop of a walk, in
+        pieces p + 1 .. k of at most _DRAW_BLOCK steps: (ii[q], jj[q]) is
+        the pair of step p + q + 1, the next that ``sample_pair(self, m)``
+        would draw, as a list of i and a list of j."""
         draw = self._draw
-        ii, jj = [], []
-        for _ in range(count):
-            i = draw()
-            j = draw()
-            while j == i:
+        for p in range(start, stop, _DRAW_BLOCK):
+            k = min(stop, p + _DRAW_BLOCK)
+            ii, jj = [], []
+            for _ in range(k - p):
+                i = draw()
                 j = draw()
-            ii.append(i)
-            jj.append(j)
-        return ii, jj
+                while j == i:
+                    j = draw()
+                ii.append(i)
+                jj.append(j)
+            yield p, k, ii, jj
 
 
-def _segments(draws, steps, every):
-    """Yield (p, k, ii, jj) for each segment of a walk of steps steps:
-    the segment is steps p + 1 .. k, and (ii[q], jj[q]) is the pair of
-    step p + q + 1, from draws.pairs. Segments end at each multiple of
-    every (a sample point), after at most _DRAW_BLOCK steps, and at the
-    last step."""
-    p = 0
-    while p < steps:
-        k = min(steps, p + _DRAW_BLOCK, (p // every + 1) * every)
-        yield p, k, *draws.pairs(k - p)
-        p = k
+def _stops(steps, every):
+    """0, each multiple of every below steps, and steps: the sample
+    points of a walk of steps steps."""
+    return [*range(0, steps, every), steps]
 
 
 def sample_pair(rng, m):
     """Ordered pair (i, j) with i != j, uniform over all m(m-1) choices.
 
     rng is any source with an ``integers(m)`` method, such as a numpy
-    Generator. run_walk's per-step loop passes a _BlockDraws over one,
-    which yields the same stream; run_walk's level engine and
-    run_circle_walk take the same pairs a segment at a time from
-    _segments, which reads them from that stream with _BlockDraws.pairs.
+    Generator. _walk's per-step loop passes a _BlockDraws over one,
+    which yields the same stream; _walk's level engine and
+    run_circle_walk take the same pairs a piece at a time from
+    _BlockDraws.segments, which reads them from that stream.
     j is drawn by rejection so every ordered pair has exactly equal mass
     under the generator's raw integer stream.
     """
@@ -322,14 +322,8 @@ def run_walk(system, config):
     """Run config.steps sampled updates on a copy of the system.
 
     The pairs are those of one sample_pair call per step on one generator,
-    and every step is walk_step's update. Systems with fewer than
-    _LEVEL_MIN_ROWS rows call sample_pair and walk_step once per step.
-    Larger ones go through _segments, whose segments end at each snapshot
-    and after at most _DRAW_BLOCK steps and come with their pairs, and a
-    segment's steps are applied one dependency level at a time
-    (_walk_levels).
-    Within a level every read comes before any write, so the rows, the
-    log and the snapshots come out bit for bit those of the per-step loop.
+    and every step is walk_step's update (see _walk), so the rows, the
+    log and the snapshots are bit for bit those of that per-step loop.
 
     Returns
     -------
@@ -338,35 +332,48 @@ def run_walk(system, config):
         at step 0, every config.snapshot_every steps (default: every n
         steps), and at the final step.
     """
+    every = config.snapshot_every if config.snapshot_every is not None else system.n
+    snapshots = []
+    for k, work, log in _walk(system, config.seed, _stops(config.steps, every)):
+        snapshots.append(take_snapshot(work, k))
+    return work, log, snapshots
+
+
+def _walk(system, seed, stops):
+    """Walk a copy of the system on seed's one _BlockDraws stream and
+    yield (k, walked, log) after each of the ascending stops k (0 may be
+    one). walked and log are the same objects at every stop, updated in
+    place; log is preallocated to stops[-1] steps.
+
+    Systems with fewer than _LEVEL_MIN_ROWS rows call sample_pair and
+    walk_step once per step. Larger ones take each stop's pairs from
+    _BlockDraws.segments and apply each piece one dependency level at a
+    time (_walk_levels). Within a level every read comes before any
+    write, so walked and the log at each stop are bit for bit those of
+    the per-step loop.
+    """
     work = system.copy()
-    m, steps = work.m, config.steps
-    rng = _BlockDraws(np.random.default_rng(config.seed), m)
-    every = config.snapshot_every if config.snapshot_every is not None else work.n
-    log = StepLog(steps)
-    log_i, log_j, log_c, log_skipped = log.i, log.j, log.c, log.skipped
-    snapshots = [take_snapshot(work, 0)]
-    if m < _LEVEL_MIN_ROWS:
-        for p in range(steps):
-            i, j = sample_pair(rng, m)
-            log_i[p] = i
-            log_j[p] = j
-            log_c[p], log_skipped[p] = walk_step(work, i, j)
-            k = p + 1
-            if k % every == 0 or k == steps:
-                snapshots.append(take_snapshot(work, k))
-        return work, log, snapshots
+    m = work.m
+    rng = _BlockDraws(np.random.default_rng(seed), m)
+    log = StepLog(stops[-1])
     # Row p of W is [A_p, b_p]: one gather, update and scatter moves a row
     # together with its right-hand side entry. A and b catch up with W at
-    # each snapshot, and the last segment always ends in one.
+    # each stop.
     A, b = work.A, work.b
-    W = np.column_stack((A, b))
-    for p, k, ii, jj in _segments(rng, steps, every):
-        _walk_levels(W, ii, jj, log, p)
-        if k % every == 0 or k == steps:
+    W = np.column_stack((A, b)) if m >= _LEVEL_MIN_ROWS else None
+    for p, k in zip([0, *stops], stops):
+        if W is None:
+            for q in range(p, k):
+                i, j = sample_pair(rng, m)
+                log.i[q] = i
+                log.j[q] = j
+                log.c[q], log.skipped[q] = walk_step(work, i, j)
+        else:
+            for start, _, ii, jj in rng.segments(p, k):
+                _walk_levels(W, ii, jj, log, start)
             A[...] = W[:, :-1]
             b[...] = W[:, -1]
-            snapshots.append(take_snapshot(work, k))
-    return work, log, snapshots
+        yield k, work, log
 
 
 def _walk_levels(W, ii, jj, log, p):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kacwalk import cli, experiments, io
+from kacwalk import cli, experiments, io, systems
 from kacwalk.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -9,6 +9,8 @@ from kacwalk.experiments import (
     parse_config,
     run_experiment,
 )
+from kacwalk.solver import SolveConfig, kaczmarz_solve
+from kacwalk.walk import WalkConfig, run_walk
 
 # ------------------------------------------------------------------ config
 
@@ -208,6 +210,42 @@ def test_solver_compare_outputs(tmp_path):
     assert set(entry["iters_pre"]) == {"400", "100"}
 
 
+def test_solver_compare_walks_each_trial_once(tmp_path, monkeypatch):
+    # One walk per trial, to the largest budget; the system it solves at
+    # each budget is that of a separate run_walk of that many steps, so
+    # every solve_pre file is byte-equal to one written from it.
+    calls = []
+    real = experiments._walk
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_walk", counted)
+    cfg = default_config("solver_compare", output_dir=tmp_path / "out",
+                         m=8, n=8, seed=3, steps=100, snapshot_every=50,
+                         trials=2,
+                         extra={"max_iters": "300", "budgets": "50,0,200,50"})
+    files = run_experiment(cfg)
+    assert calls == [3, 4]
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    for seed in (3, 4):
+        system = systems.gaussian_system(8, 8, seed)
+        scfg = SolveConfig(seed=seed, max_iters=300,
+                           target_residual=experiments.TARGET_RESIDUAL,
+                           record_every=50)
+        for budget, suffix in ((100, ""), (0, "_b0"), (50, "_b50"),
+                               (200, "_b200")):
+            walked, _, _ = run_walk(system, WalkConfig(seed=seed,
+                                                       steps=budget))
+            _, trace = kaczmarz_solve(walked, np.zeros(8), scfg)
+            name = f"solve_pre_{seed}{suffix}.csv"
+            want = io.write_trace_csv(ref / name, trace).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == want
+    assert len(files) == 2 * 5 + 1
+
+
 def test_solver_compare_defaults_report_the_walked_solve(tmp_path):
     # At the default budget, 6 n^2 walk steps, the walked 100x100 system
     # reaches the target well inside the cap (1900 iterations at seed 0);
@@ -393,10 +431,11 @@ def test_cli_theorem_audit_rejects_fields_it_does_not_read(tmp_path, capsys):
     ["square_walk", "--m", "6", "--n", "6", "--steps", "50", "--trials", "3",
      "-x", "ell=1"],
     ["solver_compare", "--m", "4", "--n", "6"],
+    ["n_plus_one", "--m", "2", "--n", "1"],
 ], ids=["square_walk-shape", "theorem_audit-m", "square_walk-ell",
         "square_walk-m1", "circle-m1", "square_walk-seed-negative",
         "theorem_audit-seed-negative", "square_walk-ell-start-above-1",
-        "solver_compare-wide"])
+        "solver_compare-wide", "n_plus_one-one-column"])
 def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "d")])
     assert code == 1

@@ -11,7 +11,8 @@ from kacwalk.walk import (
     LinearSystem,
     WalkConfig,
     _BlockDraws,
-    _segments,
+    _stops,
+    _walk,
     run_walk,
     sample_pair,
     take_snapshot,
@@ -278,20 +279,22 @@ def test_block_draws_refuse_another_bound():
 
 
 def test_block_draws_refuse_fewer_than_two_rows():
-    # At m = 1 every draw is 0, so pairs() would reject j forever.
+    # At m = 1 every draw is 0, so segments() would reject j forever.
     with pytest.raises(ValueError, match="at least two rows"):
         _BlockDraws(np.random.default_rng(0), 1)
 
 
 @pytest.mark.parametrize("m", [2, 3, 16, 31])
 def test_block_draws_pairs_match_sample_pair_across_blocks(m):
-    # pairs(count) must leave the source where count sample_pair calls
-    # would, also when a block runs out between i and j or mid-rejection.
+    # segments(0, count) must leave the source where count sample_pair
+    # calls would, also when a block runs out between i and j or
+    # mid-rejection.
     scalar = np.random.default_rng(m)
     blocks = _BlockDraws(np.random.default_rng(m), m)
     assert blocks.integers(m) == int(scalar.integers(m))
     for count in (1, 0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3, 2 * _DRAW_BLOCK + 5):
-        assert (list(zip(*blocks.pairs(count)))
+        assert ([(i, j) for _, _, ii, jj in blocks.segments(0, count)
+                 for i, j in zip(ii, jj)]
                 == [sample_pair(scalar, m) for _ in range(count)])
         assert blocks.integers(m) == int(scalar.integers(m))
 
@@ -306,20 +309,24 @@ def test_block_draws_pairs_match_sample_pair_across_blocks(m):
 ], ids=["zero-steps", "every-past-end", "every-not-dividing",
         "past-blocks", "stride-past-blocks", "stride-on-blocks"])
 def test_segments_tile_the_walk_and_replay_sample_pair(m, steps, every):
-    spans, ii, jj = [], [], []
+    # One segments call per stop interval of _stops(steps, every), as the
+    # walks make them, on one source.
+    stops = _stops(steps, every)
+    assert stops == sorted({0, *range(every, steps, every), steps})
+    ii, jj = [], []
     draws = _BlockDraws(np.random.default_rng(m), m)
-    for p, k, seg_i, seg_j in _segments(draws, steps, every):
-        assert len(seg_i) == len(seg_j) == k - p
-        spans.append((p, k))
-        ii += seg_i
-        jj += seg_j
-    # The spans tile [0, steps) in order, none longer than one block.
-    ends = [0] + [k for _, k in spans]
-    assert [p for p, _ in spans] == ends[:-1]
-    assert ends[-1] == steps
-    assert all(0 < k - p <= _DRAW_BLOCK for p, k in spans)
-    # Every sample point ends a segment.
-    assert set(range(every, steps + 1, every)) <= set(ends)
+    for start, stop in zip(stops, stops[1:]):
+        spans = []
+        for p, k, seg_i, seg_j in draws.segments(start, stop):
+            assert len(seg_i) == len(seg_j) == k - p
+            spans.append((p, k))
+            ii += seg_i
+            jj += seg_j
+        # The spans tile [start, stop) in order, none longer than a block.
+        ends = [start] + [k for _, k in spans]
+        assert [p for p, _ in spans] == ends[:-1]
+        assert ends[-1] == stop
+        assert all(0 < k - p <= _DRAW_BLOCK for p, k in spans)
     scalar = np.random.default_rng(m)
     assert (list(zip(ii, jj))
             == [sample_pair(scalar, m) for _ in range(steps)])
@@ -401,6 +408,27 @@ def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
         assert got.residual_inf == want.residual_inf
     k = io.read_steps_csv(io.write_steps_csv(tmp_path / "steps.csv", log))[0]
     assert np.array_equal(k, np.arange(1, steps + 1))
+
+
+@pytest.mark.parametrize("m,n", [(6, 4), (31, 30)],
+                         ids=["6x4-per-step", "31x30-levels"])
+def test_walk_resumes_bit_for_bit_at_uneven_stops(m, n):
+    # Stop at 0, inside the first draw block, just past it, and at the
+    # end: the walked system at each stop is a separate run_walk of that
+    # many steps, and the final log is run_walk's.
+    system = make_system(m, n, 25)
+    stops = [0, 1000, _DRAW_BLOCK + 3, 2 * _DRAW_BLOCK + 100]
+    seen = []
+    for k, walked, log in _walk(system, 8, stops):
+        ref, ref_log, _ = run_walk(system, WalkConfig(seed=8, steps=k))
+        assert np.array_equal(walked.A, ref.A)
+        assert np.array_equal(walked.b, ref.b)
+        seen.append(k)
+    assert seen == stops
+    assert len(log) == stops[-1]
+    for name in ("i", "j", "c", "skipped"):
+        assert np.array_equal(getattr(log, name), getattr(ref_log, name))
+    assert np.array_equal(system.A, make_system(m, n, 25).A)
 
 
 @pytest.mark.parametrize("m,n,calls", [
