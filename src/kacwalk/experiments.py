@@ -135,7 +135,8 @@ def _logistic_start(c):
         for t in range(c.trials)]))
     return sigma0 > 1.0 and (
         f"median starting value {sigma0:.3f} exceeds 1; the logistic "
-        f"prediction needs a smaller singular value index than {ell}")
+        f"prediction needs a smaller singular value, i.e. an index ell "
+        f"above {ell}")
 
 
 class Experiment(NamedTuple):
@@ -274,7 +275,8 @@ def _walk_trials(cfg, out, files, steps_csv=False):
         health.append((
             max(snap.residual_inf for snap in snaps),
             int(log.skipped.sum()),
-            float(-0.5 * np.log1p(-log.c[~log.skipped] ** 2).sum()),
+            # abs: with no applied step the empty sum times -0.5 is -0.0
+            abs(float(-0.5 * np.log1p(-log.c[~log.skipped] ** 2).sum())),
         ))
         del log
         runs.append((seed, snaps))

@@ -1,10 +1,12 @@
 """CSV and JSON emission for trajectories, logs, traces, and densities.
 
-Every float is written with ``repr(float(x))`` (shortest round-trip
-form), headers and row order are fixed, and files end with a single
-newline, so rerunning a seeded experiment reproduces its outputs byte for
-byte. Readers return numpy arrays and accept exactly what the writers
-emit.
+Every CSV is written column by column under one cell rule: integer and
+bool columns as decimal integers, any other column as ``repr(float(v))``
+(the shortest text that reads back to the same float). Headers and row
+order are fixed, and files end with a single newline, so rerunning a
+seeded experiment reproduces its outputs byte for byte. Readers return
+numpy arrays, parse integer columns straight to int64, and accept
+exactly what the writers emit.
 """
 
 import csv
@@ -29,33 +31,36 @@ __all__ = [
 ]
 
 
-def _fmt(x):
-    # repr of a *Python* float; numpy scalars stringify as np.float64(...)
-    return repr(float(x))
-
-
-def _fmt_all(values):
-    # What _fmt gives value by value, from one conversion to Python floats.
-    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
-
-
 def _open_w(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_rows(path, header, rows):
+def _cells(column):
+    """The cell text of one column, produced lazily: integer and bool
+    columns as decimal integers, any other as ``repr(float(v))``."""
+    if isinstance(column, range):  # an integer column, kept lazy
+        return map(str, column)
+    column = np.asarray(column)
+    if column.dtype.kind in "biu":
+        return map(str, column.astype(np.int64, copy=False).tolist())
+    return map(repr, column.astype(np.float64, copy=False).tolist())
+
+
+def _write_columns(path, header, *columns):
+    """CSV of the header, then one row per index across the columns."""
     with _open_w(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows(zip(*map(_cells, columns)))
     return Path(path)
 
 
-def _read_rows(path):
-    """(header, body rows) of a CSV written by ``_write_rows``."""
+def _read_columns(path):
+    """(header, cells) of a CSV written by ``_write_columns``: cells is a
+    (columns, rows) array of cell strings."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    return rows[0], rows[1:]
+        header, *rows = csv.reader(fh)
+    return header, np.array(rows, dtype=str).reshape(len(rows), len(header)).T
 
 
 def write_snapshots_csv(path, snapshots):
@@ -67,76 +72,62 @@ def write_snapshots_csv(path, snapshots):
     if any(snap.sigmas.shape[0] != n for snap in snapshots):
         raise ValueError("snapshots have inconsistent widths")
     header = ["k"] + [f"sigma_{p}" for p in range(1, n + 1)] + ["frob_sq"]
-    return _write_rows(path, header, (
-        [str(snap.k)] + _fmt_all(snap.sigmas) + [_fmt(snap.frob_sq)]
-        for snap in snapshots))
+    sigmas = np.array([snap.sigmas for snap in snapshots])
+    return _write_columns(path, header, [snap.k for snap in snapshots],
+                          *sigmas.T, [snap.frob_sq for snap in snapshots])
 
 
 def read_snapshots_csv(path):
     """Returns (k, sigmas, frob_sq): int array, (rows, n) array, float array."""
-    header, body = _read_rows(path)
+    header, cells = _read_columns(path)
     if header[0] != "k" or header[-1] != "frob_sq":
         raise ValueError(f"unexpected header in {path}")
-    ks = np.array([int(r[0]) for r in body], dtype=np.int64)
-    sig = np.array([[float(v) for v in r[1:-1]] for r in body])
-    frob = np.array([float(r[-1]) for r in body])
-    return ks, sig, frob
+    return (cells[0].astype(np.int64), cells[1:-1].T.astype(np.float64),
+            cells[-1].astype(np.float64))
 
 
 def write_steps_csv(path, log):
     """Per-step log ``k, i, j, c, skipped``, k from 1, skipped as 0/1."""
-    return _write_rows(path, ["k", "i", "j", "c", "skipped"], (
-        [str(k), str(i), str(j), _fmt(c), str(int(skipped))]
-        for k, i, j, c, skipped in zip(
-            range(1, len(log) + 1), log.i.tolist(), log.j.tolist(),
-            log.c.tolist(), log.skipped.tolist())))
+    return _write_columns(path, ["k", "i", "j", "c", "skipped"],
+                          range(1, len(log) + 1), log.i, log.j, log.c,
+                          log.skipped)
 
 
 def read_steps_csv(path):
     """Returns (k, i, j, c, skipped) arrays."""
-    _, body = _read_rows(path)
-    k = np.array([int(r[0]) for r in body], dtype=np.int64)
-    i = np.array([int(r[1]) for r in body], dtype=np.int64)
-    j = np.array([int(r[2]) for r in body], dtype=np.int64)
-    c = np.array([float(r[3]) for r in body])
-    skipped = np.array([bool(int(r[4])) for r in body])
-    return k, i, j, c, skipped
+    _, (k, i, j, c, skipped) = _read_columns(path)
+    return (k.astype(np.int64), i.astype(np.int64), j.astype(np.int64),
+            c.astype(np.float64), skipped.astype(np.int64).astype(bool))
 
 
 def write_series_csv(path, header, ks, *columns):
     """Integer index column ``header[0]`` (``ks``) against float columns
     ``header[1:]``, one row per index."""
-    return _write_rows(path, header, (
-        [str(int(k))] + values
-        for k, *values in zip(np.asarray(ks).tolist(),
-                              *map(_fmt_all, columns))))
+    return _write_columns(path, header, ks, *columns)
 
 
 def write_trace_csv(path, trace):
     """Solver error curve ``iter, error_sq``."""
-    return write_series_csv(path, ["iter", "error_sq"], trace.iters,
-                            trace.error_sq)
+    return _write_columns(path, ["iter", "error_sq"], trace.iters,
+                          trace.error_sq)
 
 
 def read_trace_csv(path):
     """Returns (iters, error_sq) arrays."""
-    _, body = _read_rows(path)
-    iters = np.array([int(r[0]) for r in body], dtype=np.int64)
-    err = np.array([float(r[1]) for r in body])
-    return iters, err
+    _, (iters, err) = _read_columns(path)
+    return iters.astype(np.int64), err.astype(np.float64)
 
 
 def write_density_csv(path, grid):
     """One density snapshot: single data row ``t, u_0, ..., u_{N-1}``."""
     header = ["t"] + [f"u_{p}" for p in range(grid.N)]
-    return _write_rows(path, header,
-                       [[_fmt(grid.t)] + _fmt_all(grid.u)])
+    return _write_columns(path, header, *np.append(grid.t, grid.u)[:, None])
 
 
 def read_density_csv(path):
     """Returns (t, u)."""
-    _, body = _read_rows(path)
-    return float(body[0][0]), np.array([float(v) for v in body[0][1:]])
+    _, cells = _read_columns(path)
+    return float(cells[0, 0]), cells[1:, 0].astype(np.float64)
 
 
 def write_histogram_csv(path, centers, counts):
@@ -145,9 +136,7 @@ def write_histogram_csv(path, centers, counts):
     counts = np.asarray(counts)
     if centers.shape != counts.shape:
         raise ValueError("centers and counts must have matching shapes")
-    return _write_rows(path, ["bin_center", "count"], (
-        [c, str(int(ct))]
-        for c, ct in zip(_fmt_all(centers), counts.tolist())))
+    return _write_columns(path, ["bin_center", "count"], centers, counts)
 
 
 def write_json(path, payload):

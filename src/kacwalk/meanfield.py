@@ -257,11 +257,13 @@ def meanfield_rhs(grid):
     return _rhs(grid.u, grid.N)
 
 
-def _rk4_step(u, N, dt):
-    k1 = _rhs(u, N)
-    k2 = _rhs(u + 0.5 * dt * k1, N)
-    k3 = _rhs(u + 0.5 * dt * k2, N)
-    k4 = _rhs(u + dt * k3, N)
+def _rk4_step(f, u, dt):
+    """One classical RK4 step of u' = f(u) of size dt; u may be a float
+    or an array."""
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
     return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -282,8 +284,12 @@ def _rk4_path(grid, t_end, dt):
     step = duration / nsteps
     u, N, h = grid.u, grid.N, grid.cell_width
     mass0 = float(u.sum() * h)
+
+    def rhs(v):
+        return _rhs(v, N)
+
     for s in range(1, nsteps + 1):
-        u = _rk4_step(u, N, step)
+        u = _rk4_step(rhs, u, step)
         if float(np.abs(u).max()) > BLOWUP_LIMIT:
             raise FloatingPointError(
                 f"density blow-up at step {s} (max |u| > {BLOWUP_LIMIT:g})"

@@ -100,7 +100,7 @@ class LinearSystem:
                 raise ValueError(
                     f"x_ref has length {self.x_ref.shape[0]}, expected {self.n}"
                 )
-            gap = float(np.abs(self.A @ self.x_ref - self.b).max())
+            gap = residual_at_reference(self)
             if gap > REFERENCE_RESIDUAL_TOL:
                 raise ValueError(
                     f"x_ref does not solve the system (residual {gap:.3e})"

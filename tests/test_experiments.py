@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,21 @@ def test_square_walk_zero_steps_single_snapshot(tmp_path):
     ks, sig, _ = io.read_snapshots_csv(tmp_path / "sigma_traj_0.csv")
     assert list(ks) == [0]
     assert sig.shape == (1, 6)
+
+
+@pytest.mark.parametrize("experiment,shape", [
+    ("square_walk", dict(m=3, n=3, steps=0)),
+    ("overdetermined", dict(m=3, n=1, steps=5)),
+], ids=["square_walk-no-steps", "overdetermined-one-column"])
+def test_log_amp_max_is_positive_zero_without_an_applied_step(
+        tmp_path, experiment, shape):
+    # With one column every pair is parallel and skipped, so neither run
+    # applies a step; a sum of non-negative terms must not read -0.0.
+    run_experiment(default_config(experiment, output_dir=tmp_path,
+                                  trials=1, **shape))
+    log_amp = io.read_json(tmp_path / "report.json")["log_amp_max"]
+    assert log_amp == 0.0 and math.copysign(1.0, log_amp) == 1.0
+    assert '"log_amp_max": 0.0,' in (tmp_path / "report.json").read_text()
 
 
 def test_square_walk_requires_square(tmp_path):
@@ -440,6 +457,20 @@ def test_cli_shape_errors_leave_no_output_directory(tmp_path, capsys, argv):
     code = cli.main(argv + ["--out", str(tmp_path / "d")])
     assert code == 1
     capsys.readouterr()
+    assert not (tmp_path / "d").exists()
+
+
+def test_cli_ell_start_above_one_asks_for_a_larger_index(tmp_path, capsys):
+    # Singular values descend, so a smaller sigma_ell sits at a larger ell.
+    code = cli.main(["square_walk", "--m", "3", "--n", "3", "--steps", "5",
+                     "--trials", "1", "-x", "ell=1",
+                     "--out", str(tmp_path / "d")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("kkw: error: median starting value ")
+    assert err.endswith(
+        " exceeds 1; the logistic prediction needs a smaller singular "
+        "value, i.e. an index ell above 1\n")
     assert not (tmp_path / "d").exists()
 
 

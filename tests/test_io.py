@@ -5,7 +5,7 @@ from kacwalk import io
 from kacwalk.meanfield import cosine_grid
 from kacwalk.solver import SolveConfig, kaczmarz_solve
 from kacwalk.systems import gaussian_system
-from kacwalk.walk import WalkConfig, run_walk
+from kacwalk.walk import StepLog, WalkConfig, run_walk
 
 
 @pytest.fixture()
@@ -101,7 +101,7 @@ def test_column_writers_format_floats_as_fmt_does(tmp_path):
     from types import SimpleNamespace
 
     values = np.array([-0.0, 5e-324, 1e300, np.nan, 0.1, -2.5])
-    want = [io._fmt(v) for v in values]
+    want = [repr(float(v)) for v in values]
     assert want[:4] == ["-0.0", "5e-324", "1e+300", "nan"]
 
     def body(path):
@@ -119,3 +119,24 @@ def test_column_writers_format_floats_as_fmt_does(tmp_path):
     assert body(io.write_histogram_csv(tmp_path / "h.csv", values,
                                        np.arange(6))) == [
         f"{c},{ct}" for ct, c in enumerate(want)]
+
+    # Bool and int32 columns are integers too.
+    log = StepLog(2)
+    log.i[:], log.j[:], log.c[:] = [0, 1], [1, 0], values[4:]
+    log.skipped[:] = [True, False]
+    assert body(io.write_steps_csv(tmp_path / "st.csv", log)) == [
+        f"1,0,1,{want[4]},1", f"2,1,0,{want[5]},0"]
+    assert body(io.write_histogram_csv(
+        tmp_path / "h32.csv", values[4:],
+        np.array([7, -2**31], dtype=np.int32))) == [
+        f"{want[4]},7", f"{want[5]},{-2**31}"]
+
+    # Integer columns never pass through float64, which holds 2**60 + 1
+    # only as 2**60.
+    trace = SimpleNamespace(iters=np.array([1, 2**60 + 1]),
+                            error_sq=values[4:])
+    path = io.write_trace_csv(tmp_path / "t.csv", trace)
+    assert body(path) == [f"1,{want[4]}", f"{2**60 + 1},{want[5]}"]
+    iters, err = io.read_trace_csv(path)
+    assert iters.dtype == np.int64 and iters.tolist() == [1, 2**60 + 1]
+    assert err.tolist() == [0.1, -2.5]

@@ -368,9 +368,9 @@ def test_integrate_and_decay_fit_take_the_same_substeps(monkeypatch):
     steps = []
     rk4_step = meanfield._rk4_step
 
-    def counted(u, N, dt):
+    def counted(f, u, dt):
         steps.append(dt)
-        return rk4_step(u, N, dt)
+        return rk4_step(f, u, dt)
 
     monkeypatch.setattr(meanfield, "_rk4_step", counted)
     g = cosine_grid(32, 1, 1e-3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacwalk import linalg
+from kacwalk import linalg, theory
 from kacwalk.theory import (
     expected_gain_exact,
     logistic_ode_check,
@@ -161,6 +161,19 @@ def test_logistic_ode_check_is_tiny():
 
 def test_logistic_ode_check_exact_at_fixed_point():
     assert logistic_ode_check(10, 1.0, 500.0) == 0.0
+
+
+def test_logistic_ode_check_runs_the_shipped_predictor(monkeypatch):
+    # A closed form off by 1e-6 relative must show in the gap, so the
+    # check measures predict_logistic itself, not a copy of its formula.
+    shipped = theory.predict_logistic
+
+    def perturbed(n, sigma0, k):
+        return shipped(n, sigma0, k) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(theory, "predict_logistic", perturbed)
+    n = 10
+    assert logistic_ode_check(n, 0.5, 5 * n * (n - 1)) > 1e-8
 
 
 def test_logistic_ode_check_validation():
