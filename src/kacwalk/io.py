@@ -46,12 +46,14 @@ def _cells(column):
     return map(repr, column.astype(np.float64, copy=False).tolist())
 
 
-def _write_columns(path, header, *columns):
-    """CSV of the header, then one row per index across the columns."""
+def _write_columns(path, header, *columns, as_rows=False):
+    """CSV of the header, then one row per index across the columns; with
+    as_rows, each column is written as one row instead."""
+    cells = map(_cells, columns)
     with _open_w(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(zip(*map(_cells, columns)))
+        w.writerows(cells if as_rows else zip(*cells))
     return Path(path)
 
 
@@ -121,7 +123,8 @@ def read_trace_csv(path):
 def write_density_csv(path, grid):
     """One density snapshot: single data row ``t, u_0, ..., u_{N-1}``."""
     header = ["t"] + [f"u_{p}" for p in range(grid.N)]
-    return _write_columns(path, header, *np.append(grid.t, grid.u)[:, None])
+    return _write_columns(path, header, np.append(grid.t, grid.u),
+                          as_rows=True)
 
 
 def read_density_csv(path):

@@ -53,6 +53,10 @@ ROW_NORM_TOL = 1e-12
 REFERENCE_RESIDUAL_TOL = 1e-10
 # Pairs with 1 - c^2 below this are parallel up to sign and left alone.
 DEGENERATE_TOL = 1e-12
+# The same rule read as c^2 >= _SKIP_C2, one operation fewer: the double
+# 1 - DEGENERATE_TOL rounds up, and for c^2 >= 0.5 the difference 1 - c^2
+# is exact, so the two tests agree on every double c.
+_SKIP_C2 = 1.0 - DEGENERATE_TOL
 # The walk loops and the solver draw their row indices this many at a
 # time (_draws).
 _DRAW_BLOCK = 4096
@@ -256,24 +260,24 @@ def walk_step(system, i, j):
     """Apply one update in place and return ``(c, skipped)``.
 
     With c = <A_i, A_j> read once before any write, row j becomes
-    (A_j - c A_i) / sqrt(1 - c^2) and b_j becomes
-    (b_j - c b_i) / sqrt(1 - c^2), which keeps any solution of the system
-    a solution; row j is then re-unitized (b_j with it) so rounding drift
-    in its length cannot compound. Pairs whose 1 - c^2 falls below
-    DEGENERATE_TOL are left untouched and returned as skipped, with c
-    clamped to [-1, 1].
+    (A_j - c A_i) / r and b_j becomes (b_j - c b_i) / r, with
+    r = ||A_j - c A_i|| measured after the subtraction. This keeps any
+    solution of the system a solution, and row j comes out unit length
+    so rounding drift in its length cannot compound. Pairs whose
+    1 - c^2 falls below DEGENERATE_TOL are left untouched and returned as
+    skipped, with c clamped to [-1, 1].
 
-    The 1 / sqrt(1 - c^2) factor also amplifies whatever rounding error b
-    already carries, and those factors compound across steps. Square
-    systems drift toward orthonormal rows (c -> 0), so there the solution
-    survives long runs to ~1e-14. Tall systems can never make all rows
-    orthogonal (more rows than dimensions), so the walk keeps drawing
-    correlated pairs forever and the residual at x_ref grows by many
-    orders of magnitude even though every step is exact in real
-    arithmetic. A larger DEGENERATE_TOL would only change how far (31x30,
-    seed 0, 100k steps: 4.5e91 at 1e-12, 0.14 at 1e-2); watch
-    residual_inf and the amplification sum -1/2 log(1 - c^2)
-    (log_amp_max) instead.
+    In exact arithmetic r = sqrt(1 - c^2), so each step multiplies
+    whatever rounding error b already carries by up to 1 / sqrt(1 - c^2),
+    and those factors compound across steps. Square systems drift toward
+    orthonormal rows (c -> 0), so there the solution survives long runs
+    to ~1e-14. Tall systems can never make all rows orthogonal (more rows
+    than dimensions), so the walk keeps drawing correlated pairs forever
+    and the residual at x_ref grows by many orders of magnitude even
+    though every step is exact in real arithmetic. A larger
+    DEGENERATE_TOL would only change how far (31x30, seed 0, 100k steps:
+    2.7e142 at 1e-12, 0.34 at 1e-2); watch residual_inf and the
+    amplification sum -1/2 log(1 - c^2) (log_amp_max) instead.
     """
     A, b = system.A, system.b
     m = A.shape[0]
@@ -283,18 +287,15 @@ def walk_step(system, i, j):
         raise IndexError(f"row indices ({i}, {j}) out of range for {m} rows")
     Ai, Aj = A[i], A[j]
     c = float(Ai.dot(Aj))
-    rest = 1.0 - c * c
-    if rest < DEGENERATE_TOL:
+    if c * c >= _SKIP_C2:
         # Rounding can push |c| a hair past 1 here; clamp for the record.
         return max(-1.0, min(1.0, c)), True
-    scale = math.sqrt(rest)
     Aj -= c * Ai
-    Aj /= scale
     # np.linalg.norm(Aj) computes exactly this (and dot equals @ bitwise);
     # calling the method directly skips the overhead of both.
     r = math.sqrt(float(Aj.dot(Aj)))
     Aj /= r
-    b[j] = (b[j] - c * b[i]) / scale / r
+    b[j] = (b[j] - c * b[i]) / r
     return c, False
 
 
@@ -419,18 +420,14 @@ def _walk_levels(W, ii, jj, log, p):
         start = stop
         c = np.vecdot(Wi[:, :n], Wj[:, :n], keepdims=True)
         cs.append(c)
-        rest = 1.0 - c * c
-        skip = rest < DEGENERATE_TOL
+        skip = c * c >= _SKIP_C2
         if np.count_nonzero(skip):
             keep = ~skip[:, 0]
-            Wi, Wj, c, rest, rows_j = (Wi[keep], Wj[keep], c[keep],
-                                       rest[keep], rows_j[keep])
-        scale = np.sqrt(rest)
-        # A_j -= c A_i, A_j /= scale, A_j /= r as in walk_step; on the last
-        # column the same ops give b_j = (b_j - c b_i) / scale / r.
+            Wi, Wj, c, rows_j = Wi[keep], Wj[keep], c[keep], rows_j[keep]
+        # A_j -= c A_i, A_j /= r as in walk_step; on the last column the
+        # same ops give b_j = (b_j - c b_i) / r.
         Wi *= c
         Wj -= Wi
-        Wj /= scale
         Aj = Wj[:, :n]
         r = np.vecdot(Aj, Aj, keepdims=True)
         Wj /= np.sqrt(r, out=r)

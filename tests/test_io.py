@@ -62,6 +62,17 @@ def test_density_round_trip(tmp_path):
     assert header.startswith("t,u_0,") and header.endswith(",u_15")
 
 
+def test_density_file_is_one_row_of_repr_cells(tmp_path):
+    from types import SimpleNamespace
+
+    values = [-0.0, 1e-300, 0.1, 2.0]
+    grid = SimpleNamespace(N=4, t=0.5, u=np.array(values))
+    path = io.write_density_csv(tmp_path / "density.csv", grid)
+    assert path.read_text() == (
+        "t,u_0,u_1,u_2,u_3\n"
+        + ",".join(repr(float(v)) for v in [0.5, *values]) + "\n")
+
+
 def test_histogram_file(tmp_path):
     path = io.write_histogram_csv(tmp_path / "hist.csv",
                                   [0.5, 1.5], [3, 7])

@@ -101,6 +101,55 @@ def test_walk_step_clamps_recorded_c_for_nearly_parallel_rows():
     assert abs(c) <= 1.0
 
 
+def _doubles_around(x, count):
+    """x and the count doubles on each side of it."""
+    up = down = x
+    out = [x]
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.array(out)
+
+
+def test_skip_rule_on_c_squared_is_the_rule_on_one_minus_c_squared():
+    # Both kernels skip a pair when c * c >= _SKIP_C2; that must be
+    # exactly 1 - c * c < DEGENERATE_TOL for every double c, including
+    # the ones right at the threshold and the ones rounding pushed past 1.
+    c = np.concatenate([_doubles_around(np.sqrt(walk._SKIP_C2), 64),
+                        [0.0, 0.5, 1.0, 1.0 + 2.0 ** -52]])
+    c = np.concatenate([c, -c])
+    rewritten = c * c >= walk._SKIP_C2
+    assert np.array_equal(rewritten, 1.0 - c * c < walk.DEGENERATE_TOL)
+    # The sweep reaches both sides of the threshold.
+    assert rewritten.any() and not rewritten.all()
+    # No c in that sweep squares to _SKIP_C2 itself, so check the squares
+    # around it directly: at _SKIP_C2, >= and > part ways.
+    q = _doubles_around(walk._SKIP_C2, 64)
+    assert np.array_equal(q >= walk._SKIP_C2,
+                          1.0 - q < walk.DEGENERATE_TOL)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_walk_step_skips_exactly_when_one_minus_c_squared_is_below_tol(
+        sign):
+    # Row j at |c| = each double around sqrt(_SKIP_C2) from row i: the
+    # skip must follow 1 - c^2 < DEGENERATE_TOL on the c that walk_step
+    # measures, and a skipped pair must leave the system untouched.
+    seen = set()
+    for c in _doubles_around(np.sqrt(walk._SKIP_C2), 8):
+        A = np.array([[1.0, 0.0], [sign * c, np.sqrt(1.0 - c * c)]])
+        A[1] /= np.linalg.norm(A[1])
+        sys0 = LinearSystem(A, np.zeros(2), np.zeros(2))
+        measured = float(A[0].dot(A[1]))
+        got, skipped = walk_step(sys0, 0, 1)
+        assert skipped == (1.0 - measured * measured < walk.DEGENERATE_TOL)
+        assert np.array_equal(sys0.A, A) == skipped
+        if not skipped:
+            assert got == measured
+        seen.add(skipped)
+    assert seen == {True, False}
+
+
 def test_walk_step_rejects_equal_and_out_of_range_indices():
     sys0 = make_system(3, 2, 1)
     with pytest.raises(ValueError):
@@ -121,10 +170,11 @@ def test_walk_preserves_solution_and_frobenius_norm():
 def test_tall_system_keeps_row_invariants():
     # With more rows than columns the rows pile up on a handful of
     # directions, so correlated pairs keep appearing and each applied
-    # update divides by sqrt(1 - c^2).  Those factors compound and amplify
-    # rounding noise in b (see walk_step), so only the row-level invariants
-    # are checked here. A coarser DEGENERATE_TOL would not restore b over
-    # long tall runs; it only changes how far the residual grows.
+    # update divides by ||A_j - c A_i||, which is sqrt(1 - c^2) in exact
+    # arithmetic.  Those factors compound and amplify rounding noise in b
+    # (see walk_step), so only the row-level invariants are checked here.
+    # A coarser DEGENERATE_TOL would not restore b over long tall runs; it
+    # only changes how far the residual grows.
     sys0 = make_system(8, 5, 3)
     final, _, snaps = run_walk(sys0, WalkConfig(seed=9, steps=500))
     assert np.abs(np.linalg.norm(final.A, axis=1) - 1.0).max() < 1e-12
@@ -140,7 +190,7 @@ def test_tall_system_keeps_row_invariants():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1: on tall systems rounding error in b grows in the left "
-    "null space of A; 31x30 seed 0 reaches 4.5e91"))
+    "null space of A; 31x30 seed 0 reaches 2.7e142"))
 def test_tall_walk_keeps_the_solution_over_100k_steps():
     # The bound of acceptance criterion 2 and of perfbench's walk check.
     system = gaussian_system(31, 30, 0)
