@@ -1,12 +1,12 @@
 """CSV and JSON emission for trajectories, logs, traces, and densities.
 
-Every CSV is written column by column under one cell rule: integer and
-bool columns as decimal integers, any other column as ``repr(float(v))``
-(the shortest text that reads back to the same float). Headers and row
-order are fixed, and files end with a single newline, so rerunning a
-seeded experiment reproduces its outputs byte for byte. Readers return
-numpy arrays, parse integer columns straight to int64, and accept
-exactly what the writers emit.
+Every CSV is written under one cell rule: integer and bool columns as
+decimal integers, any other column as ``repr(float(v))`` (the shortest
+text that reads back to the same float). Headers and row order are
+fixed, and files end with a single newline, so rerunning a seeded
+experiment reproduces its outputs byte for byte. Readers return numpy
+arrays, parse integer columns straight to int64, and accept exactly what
+the writers emit.
 """
 
 import csv
@@ -46,19 +46,30 @@ def _cells(column):
     return map(repr, column.astype(np.float64, copy=False).tolist())
 
 
-def _write_columns(path, header, *columns, as_rows=False):
-    """CSV of the header, then one row per index across the columns; with
-    as_rows, each column is written as one row instead."""
-    cells = map(_cells, columns)
+def _write_rows(path, header, rows):
+    """CSV of the header, then the rows, each an iterable of cells."""
     with _open_w(path) as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(cells if as_rows else zip(*cells))
+        w.writerows(rows)
     return Path(path)
 
 
+def _write_columns(path, header, *columns):
+    """CSV of the header, then one row per index across the columns: one
+    column per header name, all of one length. Anything else is refused
+    before the file is opened."""
+    if len(columns) != len(header):
+        raise ValueError(
+            f"{len(columns)} columns under {len(header)} header names")
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    return _write_rows(path, header, zip(*map(_cells, columns)))
+
+
 def _read_columns(path):
-    """(header, cells) of a CSV written by ``_write_columns``: cells is a
+    """(header, cells) of a CSV written by ``_write_rows``: cells is a
     (columns, rows) array of cell strings."""
     with open(path, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
@@ -123,8 +134,7 @@ def read_trace_csv(path):
 def write_density_csv(path, grid):
     """One density snapshot: single data row ``t, u_0, ..., u_{N-1}``."""
     header = ["t"] + [f"u_{p}" for p in range(grid.N)]
-    return _write_columns(path, header, np.append(grid.t, grid.u),
-                          as_rows=True)
+    return _write_rows(path, header, [_cells(np.append(grid.t, grid.u))])
 
 
 def read_density_csv(path):
@@ -135,11 +145,8 @@ def read_density_csv(path):
 
 def write_histogram_csv(path, centers, counts):
     """Histogram ``bin_center, count``."""
-    centers = np.asarray(centers, dtype=np.float64)
-    counts = np.asarray(counts)
-    if centers.shape != counts.shape:
-        raise ValueError("centers and counts must have matching shapes")
-    return _write_columns(path, ["bin_center", "count"], centers, counts)
+    return _write_columns(path, ["bin_center", "count"],
+                          np.asarray(centers, dtype=np.float64), counts)
 
 
 def write_json(path, payload):

@@ -8,9 +8,14 @@ rows) is both the fastest and the most accurate option available.
 
 import numpy as np
 
+# How far row norms may stray from 1 before a matrix is rejected.
+ROW_NORM_TOL = 1e-12
+
 __all__ = [
+    "ROW_NORM_TOL",
     "as_matrix",
     "as_vector",
+    "check_unit_rows",
     "normalize_rows",
     "frobenius_sq",
     "singular_values",
@@ -55,6 +60,15 @@ def as_vector(v):
     if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     return x
+
+
+def check_unit_rows(A):
+    """Raise ValueError unless every row of the matrix ``A`` has unit
+    Euclidean length, within ROW_NORM_TOL."""
+    if np.abs(np.linalg.norm(A, axis=1) - 1.0).max() > ROW_NORM_TOL:
+        raise ValueError(
+            "rows must have unit length; normalize the matrix first"
+        )
 
 
 def normalize_rows(A):

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL, _BlockDraws, _stops
+from kacwalk.walk import DEGENERATE_TOL, _BlockDraws, _stops
 
 __all__ = [
     "TWO_PI",
@@ -88,9 +88,7 @@ class CircleEnsemble:
         A = linalg.as_matrix(A)
         if A.shape[1] != 2:
             raise ValueError(f"expected 2 columns, got {A.shape[1]}")
-        norms = np.linalg.norm(A, axis=1)
-        if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
-            raise ValueError("rows must have unit length")
+        linalg.check_unit_rows(A)
         return cls(np.arctan2(A[:, 1], A[:, 0]))
 
 
@@ -228,7 +226,7 @@ def cosine_grid(N, mode, amplitude=1e-3):
     return DensityGrid(UNIFORM_DENSITY + amplitude * np.cos(mode * x), t=0.0)
 
 
-def _rhs(u, N):
+def _rhs(u):
     # Window sum: interior cells at full weight, the two cells whose
     # centers sit exactly on the window endpoints at half weight. This
     # trapezoid-on-the-circle choice is what makes mass exactly conserved
@@ -238,6 +236,7 @@ def _rhs(u, N):
     # sequence at every grid point, so the operator commutes with grid
     # rotations bit for bit, in O(N) memory. ring[:N] and ring[2q:] are
     # u[i - q] and u[i + q], the two quarter-turn sources.
+    N = u.shape[0]
     q = N // 4
     ring = np.concatenate((u[N - q:], u, u[:q]))
     s = ring.strides[0]
@@ -254,7 +253,7 @@ def meanfield_rhs(grid):
     quarter-turn sources x +- pi/2, both weighted by the integral over
     the half-circle window (x - pi/2, x + pi/2) centered on x.
     """
-    return _rhs(grid.u, grid.N)
+    return _rhs(grid.u)
 
 
 def _rk4_step(f, u, dt):
@@ -282,14 +281,10 @@ def _rk4_path(grid, t_end, dt):
         return
     nsteps = max(1, math.ceil(duration / dt - 1e-9))
     step = duration / nsteps
-    u, N, h = grid.u, grid.N, grid.cell_width
+    u, h = grid.u, grid.cell_width
     mass0 = float(u.sum() * h)
-
-    def rhs(v):
-        return _rhs(v, N)
-
     for s in range(1, nsteps + 1):
-        u = _rk4_step(rhs, u, step)
+        u = _rk4_step(_rhs, u, step)
         if float(np.abs(u).max()) > BLOWUP_LIMIT:
             raise FloatingPointError(
                 f"density blow-up at step {s} (max |u| > {BLOWUP_LIMIT:g})"

@@ -86,6 +86,11 @@ class SolveTrace:
     converged: bool = False
 
     def __post_init__(self):
+        if len(self.iters) != len(self.error_sq):
+            raise ValueError(
+                f"{len(self.iters)} iterations against "
+                f"{len(self.error_sq)} errors"
+            )
         if np.any(np.diff(self.iters) <= 0):
             raise ValueError("trace iterations must be strictly increasing")
 

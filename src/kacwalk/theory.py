@@ -19,7 +19,7 @@ import numpy as np
 
 from kacwalk import linalg
 from kacwalk.meanfield import _rk4_step
-from kacwalk.walk import DEGENERATE_TOL, ROW_NORM_TOL
+from kacwalk.walk import DEGENERATE_TOL
 
 __all__ = [
     "GainReport",
@@ -37,12 +37,16 @@ class GainReport:
     expected_norm_sq  E ||A' x||^2 over the uniform ordered pair choice
     base_norm_sq      ||A x||^2 before the step
     bound_rhs         base + 2/(m(m-1)) * (base - ||A^T A x||^2)
-    sigma_sum         sum over ordered pairs of (y_i - c_ij y_j)^2 - y_i^2
+    sigma_sum         sum over ordered pairs of (y_j - c_ij y_i)^2 - y_j^2
                       with y = A x, i.e. the pair sum with the
                       1/(1 - c^2) amplification dropped
-    sigma2_sum        sum over ordered pairs of c_ij^2 (y_i - c_ij y_j)^2,
+    sigma2_sum        sum over ordered pairs of c_ij^2 (y_j - c_ij y_i)^2,
                       the first amplification correction recovered from
                       1/(1 - t) >= 1 + t
+
+    As in walk_step, the pair (i, j) moves row j against row i. Each sum
+    runs over all ordered pairs, so it does not depend on which index
+    is called the moving one.
     """
 
     expected_norm_sq: float
@@ -55,15 +59,17 @@ class GainReport:
 def expected_gain_exact(A, x):
     """Average ||A' x||^2 over every ordered row pair (i, j), in closed form.
 
-    For each of the m(m-1) ordered pairs the update replaces row i by its
-    component orthogonal to row j, rescaled to unit length. Only entry i
-    of y = A x changes, to (y_i - c_ij y_j) / sqrt(1 - c_ij^2) with
-    c_ij = <A_i, A_j>, so the pair contributes
+    For each of the m(m-1) ordered pairs the update replaces row j by its
+    component orthogonal to row i, rescaled to unit length, as walk_step
+    does. Only entry j of y = A x changes, to
+    (y_j - c_ij y_i) / sqrt(1 - c_ij^2) with c_ij = <A_i, A_j>, so the
+    pair contributes
 
-        ||y||^2 - y_i^2 + (y_i - c_ij y_j)^2 / (1 - c_ij^2)
+        ||y||^2 - y_j^2 + (y_j - c_ij y_i)^2 / (1 - c_ij^2)
 
-    exactly. Summing that over all pairs costs O(m^2 n), dominated by the
-    Gram matrix.
+    exactly. The average runs over all ordered pairs, so it does not
+    depend on which index of a pair is called the moving one. Summing
+    over all pairs costs O(m^2 n), dominated by the Gram matrix.
 
     Raises
     ------
@@ -79,9 +85,7 @@ def expected_gain_exact(A, x):
         raise ValueError("need at least two rows")
     if x.shape[0] != n:
         raise ValueError(f"x has length {x.shape[0]}, expected {n}")
-    norms = np.linalg.norm(A, axis=1)
-    if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
-        raise ValueError("rows must have unit length")
+    linalg.check_unit_rows(A)
 
     # Every ordered pair (i, j) with i != j, flattened i-major.
     off = ~np.eye(m, dtype=bool)
@@ -96,6 +100,8 @@ def expected_gain_exact(A, x):
     pairs = m * (m - 1)
     bound_rhs = base + 2.0 / pairs * (base - float(w @ w))
 
+    # Here the first index of each flattened pair is the row that moves;
+    # over all ordered pairs the sums come out the same.
     yi = np.repeat(y, m - 1)
     yj = np.broadcast_to(y, (m, m))[off]
     num_sq = (yi - c * yj) ** 2

@@ -10,12 +10,14 @@ at the row count.
 ``walk_step`` is the reference kernel: one step, read then write.
 Every walk runs through one generator, ``_walk``, which walks a copy of
 the system and hands it back at each of a list of stops; ``run_walk``
-takes a snapshot at each. On systems with fewer than 16 rows ``_walk``
-calls ``sample_pair`` and ``walk_step`` once per step. On larger ones it
-applies the same steps one dependency level at a time: a level is a set
-of steps that all read their rows before any of them writes its row j,
-gathered, updated with walk_step's formulas as whole-array operations
-and scattered back. Levels never cross a piece of
+takes a snapshot at each. The copy's A and b are views of one array
+[A | b], so a step is a row operation on that augmented system, and
+both loops below update that array in place. On systems with fewer than
+16 rows ``_walk`` calls ``sample_pair`` and ``walk_step`` once per step.
+On larger ones it applies the same steps one dependency level at a
+time: a level is a set of steps that all read their rows before any of
+them writes its row j, gathered, updated with walk_step's formulas as
+whole-array operations and scattered back. Levels never cross a piece of
 ``_BlockDraws.segments`` (at most 4096 steps, never past a stop), and
 ``np.vecdot`` over rows of unit stride calls the same BLAS ``ddot`` as
 ``ndarray.dot``, so the rows, the log and every snapshot are bit for bit
@@ -31,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from kacwalk import linalg
+from kacwalk.linalg import ROW_NORM_TOL
 
 __all__ = [
     "ROW_NORM_TOL",
@@ -47,8 +50,6 @@ __all__ = [
     "residual_at_reference",
 ]
 
-# How far row norms may stray from 1 before a system is rejected.
-ROW_NORM_TOL = 1e-12
 # How large ||A x_ref - b||_inf may be before x_ref is rejected.
 REFERENCE_RESIDUAL_TOL = 1e-10
 # Pairs with 1 - c^2 below this are parallel up to sign and left alone.
@@ -93,11 +94,7 @@ class LinearSystem:
             raise ValueError(
                 f"b has length {self.b.shape[0]}, expected {self.m}"
             )
-        norms = np.linalg.norm(self.A, axis=1)
-        if np.abs(norms - 1.0).max() > ROW_NORM_TOL:
-            raise ValueError(
-                "rows must have unit length; normalize the matrix first"
-            )
+        linalg.check_unit_rows(self.A)
         if self.x_ref is not None:
             self.x_ref = linalg.as_vector(self.x_ref)
             if self.x_ref.shape[0] != self.n:
@@ -346,8 +343,10 @@ def _walk(system, seed, stops):
     one). walked and log are the same objects at every stop, updated in
     place; log is preallocated to stops[-1] steps.
 
-    Systems with fewer than _LEVEL_MIN_ROWS rows call sample_pair and
-    walk_step once per step. Larger ones take each stop's pairs from
+    walked.A and walked.b are views of one array W = [A | b], so row p
+    of W is [A_p, b_p] and both engines update W itself. Systems with
+    fewer than _LEVEL_MIN_ROWS rows call sample_pair and walk_step once
+    per step. Larger ones take each stop's pairs from
     _BlockDraws.segments and apply each piece one dependency level at a
     time (_walk_levels). Within a level every read comes before any
     write, so walked and the log at each stop are bit for bit those of
@@ -357,13 +356,10 @@ def _walk(system, seed, stops):
     m = work.m
     rng = _BlockDraws(np.random.default_rng(seed), m)
     log = StepLog(stops[-1])
-    # Row p of W is [A_p, b_p]: one gather, update and scatter moves a row
-    # together with its right-hand side entry. A and b catch up with W at
-    # each stop.
-    A, b = work.A, work.b
-    W = np.column_stack((A, b)) if m >= _LEVEL_MIN_ROWS else None
+    W = np.column_stack((work.A, work.b))
+    work.A, work.b = W[:, :-1], W[:, -1]
     for p, k in zip([0, *stops], stops):
-        if W is None:
+        if m < _LEVEL_MIN_ROWS:
             for q in range(p, k):
                 i, j = sample_pair(rng, m)
                 log.i[q] = i
@@ -372,8 +368,6 @@ def _walk(system, seed, stops):
         else:
             for start, _, ii, jj in rng.segments(p, k):
                 _walk_levels(W, ii, jj, log, start)
-            A[...] = W[:, :-1]
-            b[...] = W[:, -1]
         yield k, work, log
 
 
@@ -433,6 +427,6 @@ def _walk_levels(W, ii, jj, log, p):
         Wj /= np.sqrt(r, out=r)
         W[rows_j] = Wj
     c = np.concatenate(cs)[:, 0]
-    log.skipped[p:k][order] = 1.0 - c * c < DEGENERATE_TOL
+    log.skipped[p:k][order] = c * c >= _SKIP_C2
     # walk_step clamps the c of a skipped pair; |c| < 1 on every other.
     log.c[p:k][order] = np.clip(c, -1.0, 1.0)

@@ -78,8 +78,22 @@ def test_histogram_file(tmp_path):
                                   [0.5, 1.5], [3, 7])
     lines = path.read_text().splitlines()
     assert lines == ["bin_center,count", "0.5,3", "1.5,7"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length"):
         io.write_histogram_csv(tmp_path / "bad.csv", [0.5], [1, 2])
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("header,columns", [
+    (["k", "x"], ([1, 2, 3], [0.5])),
+    (["k", "x"], ([1, 2], [0.5, 0.25], [0.1, 0.2])),
+    (["k", "x", "y"], ([1, 2], [0.5, 0.25])),
+], ids=["ragged", "extra-column", "missing-column"])
+def test_column_writer_refuses_ragged_or_misnamed_columns(tmp_path, header,
+                                                         columns):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="columns"):
+        io.write_series_csv(path, header, *columns)
+    assert not path.exists()
 
 
 def test_writers_are_byte_stable(tmp_path, walk_artifacts):

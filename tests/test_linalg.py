@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kacwalk import linalg
+from kacwalk import linalg, walk
+from kacwalk.meanfield import CircleEnsemble
+from kacwalk.theory import expected_gain_exact
 
 
 def test_as_matrix_copies_and_coerces():
@@ -70,3 +72,37 @@ def test_singular_values_padded_to_column_count():
     sig = linalg.singular_values(np.array([[1.0, 0.0, 0.0]]))
     assert sig.shape == (3,)
     assert np.allclose(sig, [1.0, 0.0, 0.0])
+
+
+def _scaled_rows(scale):
+    """3x2 unit rows with row 1 multiplied by scale."""
+    A = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+    A[1] *= scale
+    return A
+
+
+def test_check_unit_rows_accepts_rows_within_tolerance():
+    linalg.check_unit_rows(_scaled_rows(1.0 + 0.5 * linalg.ROW_NORM_TOL))
+    linalg.check_unit_rows(_scaled_rows(1.0 - 0.5 * linalg.ROW_NORM_TOL))
+
+
+@pytest.mark.parametrize("scale", [1.0 + 2.0 * linalg.ROW_NORM_TOL,
+                                   1.0 - 2.0 * linalg.ROW_NORM_TOL, 2.0])
+def test_check_unit_rows_refuses_a_row_outside_tolerance(scale):
+    with pytest.raises(ValueError, match="unit length"):
+        linalg.check_unit_rows(_scaled_rows(scale))
+
+
+def test_every_unit_row_check_is_the_linalg_one():
+    # LinearSystem, CircleEnsemble.from_matrix and expected_gain_exact
+    # refuse a non-unit row with linalg.check_unit_rows' own message.
+    assert walk.ROW_NORM_TOL is linalg.ROW_NORM_TOL
+    A = _scaled_rows(1.0 + 2.0 * linalg.ROW_NORM_TOL)
+    with pytest.raises(ValueError) as want:
+        linalg.check_unit_rows(A)
+    for refuse in (lambda: walk.LinearSystem(A, np.zeros(3)),
+                   lambda: CircleEnsemble.from_matrix(A),
+                   lambda: expected_gain_exact(A, np.ones(2))):
+        with pytest.raises(ValueError) as got:
+            refuse()
+        assert str(got.value) == str(want.value)

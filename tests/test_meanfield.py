@@ -231,9 +231,10 @@ def test_uniform_and_cosine_grids():
         1e-3, rel=1e-10)
 
 
-def _reference_rhs(u, N):
+def _reference_rhs(u):
     """The window sum as a gather of an explicit (N/2 - 1) x N offset
     table reduced along its first axis, with np.roll for the shifts."""
+    N = u.shape[0]
     q = N // 4
     offs = np.arange(-(q - 1), q)
     idx = (offs[:, None] + np.arange(N)[None, :]) % N
@@ -247,7 +248,7 @@ def test_rhs_matches_gather_reference_bitwise(N):
     rng = np.random.default_rng(N)
     for _ in range(5):
         u = rng.uniform(0.01, 2.0, size=N)
-        assert meanfield._rhs(u, N).tobytes() == _reference_rhs(u, N).tobytes()
+        assert meanfield._rhs(u).tobytes() == _reference_rhs(u).tobytes()
 
 
 def test_integrate_matches_gather_reference_bitwise(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kacwalk import linalg
-from kacwalk.solver import SolveConfig, kaczmarz_solve
+from kacwalk.solver import SolveConfig, SolveTrace, kaczmarz_solve
 from kacwalk.systems import gaussian_system, random_orthogonal_system
 from kacwalk.walk import _DRAW_BLOCK, LinearSystem, WalkConfig, run_walk
 
@@ -316,6 +316,13 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(seed=0, max_iters=10, target_residual=1e-6,
                     record_every=0)
+
+
+def test_solve_trace_refuses_unequal_lengths():
+    # A trace whose columns differ in length would lose its tail on
+    # write_trace_csv.
+    with pytest.raises(ValueError, match="3 iterations against 2 errors"):
+        SolveTrace(np.array([0, 10, 20]), np.array([1.0, 0.5]))
 
 
 # ------------------------------------------------------- walk, then solve

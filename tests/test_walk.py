@@ -481,6 +481,21 @@ def test_walk_resumes_bit_for_bit_at_uneven_stops(m, n):
     assert np.array_equal(system.A, make_system(m, n, 25).A)
 
 
+@pytest.mark.parametrize("m,n", [(6, 4), (31, 30)],
+                         ids=["6x4-per-step", "31x30-levels"])
+def test_walked_A_and_b_are_views_of_one_augmented_array(m, n):
+    # Both engines update one [A | b] array; the walked copy's A and b
+    # are its first n columns and its last, never separate copies.
+    system = make_system(m, n, 26)
+    for _, walked, _ in _walk(system, 3, [0, 500]):
+        W = walked.A.base
+        assert W is not None and W is walked.b.base
+        assert W.shape == (m, n + 1)
+        assert np.array_equal(W[:, :-1], walked.A)
+        assert np.array_equal(W[:, -1], walked.b)
+    assert not np.shares_memory(walked.A, system.A)
+
+
 @pytest.mark.parametrize("m,n,calls", [
     (10, 10, 137),
     (31, 30, 0),

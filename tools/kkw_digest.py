@@ -9,11 +9,11 @@ its own subdirectory of a temporary directory, and the script prints one
 lists them. Diffing the output of two checkouts shows whether a change
 kept every output byte.
 
-The configs cover both walk engines (below and from 16 rows), runs that
-apply no step (``--steps 0`` and a one-column system, whose pairs are all
-parallel), the circle walk with and without the mean-field integration,
-``solver_compare`` with repeated and zero budgets and on a tall system,
-and ``theorem_audit``.
+The configs cover both walk engines (below and from 16 rows), on square
+and on tall systems, runs that apply no step (``--steps 0`` and a
+one-column system, whose pairs are all parallel), the circle walk with
+and without the mean-field integration, ``solver_compare`` with repeated
+and zero budgets and on a tall system, and ``theorem_audit``.
 """
 
 import hashlib
@@ -35,6 +35,8 @@ CONFIGS = [
      dict(m=8, n=8, steps=0, trials=1), {}),
     ("overdetermined_30x10", "overdetermined",
      dict(m=30, n=10, steps=3000, snapshot_every=500, trials=2), {}),
+    ("overdetermined_12x5", "overdetermined",
+     dict(m=12, n=5, steps=2000, snapshot_every=500, trials=2), {}),
     ("overdetermined_n1", "overdetermined",
      dict(m=3, n=1, steps=50, snapshot_every=10, trials=1), {}),
     ("n_plus_one_31x30", "n_plus_one",
