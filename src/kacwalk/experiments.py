@@ -253,6 +253,12 @@ def _iters_to_target(trace):
     return int(trace.iters[-1]) if trace.converged else None
 
 
+def _bin(values, bins, hi):
+    """(centers, counts) of values in ``bins`` equal bins over [0, hi]."""
+    counts, edges = np.histogram(values, bins=bins, range=(0.0, hi))
+    return 0.5 * (edges[:-1] + edges[1:]), counts
+
+
 def _walk_trials(cfg, out, files, steps_csv=False):
     """Per trial: draw the seeded Gaussian system, walk it, and write
     ``sigma_traj_<seed>.csv`` (and ``steps_<seed>.csv`` if asked).
@@ -339,11 +345,9 @@ def exp_overdetermined(cfg, out, files):
         })
 
     pooled = np.concatenate(finals)
-    counts, edges = np.histogram(pooled, bins=HIST_BINS,
-                                 range=(0.0, float(pooled.max()) * 1.001))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    files.append(io.write_histogram_csv(out / "hist_final_sigmas.csv",
-                                        centers, counts))
+    files.append(io.write_histogram_csv(
+        out / "hist_final_sigmas.csv",
+        *_bin(pooled, HIST_BINS, float(pooled.max()) * 1.001)))
 
     improved = sum(1 for tr in trials if tr["cond_final"] < tr["cond_initial"])
     return {
@@ -394,16 +398,16 @@ def exp_circle(cfg, out, files):
     for t in range(cfg.trials):
         seed = cfg.seed + t
         ensemble = systems.random_circle_ensemble(cfg.m, seed)
+        if t == 0:
+            start = ensemble
         final, samples, skipped = run_circle_walk(
             ensemble, cfg.steps, seed, sample_every=cfg.snapshot_every)
         files.append(io.write_series_csv(
             out / f"order4_{seed}.csv", ["k", "order4"],
             [k for k, _ in samples], [r for _, r in samples]))
-        counts, edges = np.histogram(final.angles, bins=ANGLE_BINS,
-                                     range=(0.0, TWO_PI))
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        files.append(io.write_histogram_csv(out / f"angles_{seed}.csv",
-                                            centers, counts))
+        files.append(io.write_histogram_csv(
+            out / f"angles_{seed}.csv",
+            *_bin(final.angles, ANGLE_BINS, TWO_PI)))
         trials.append({
             "seed": seed,
             "order4_initial": samples[0][1],
@@ -421,9 +425,7 @@ def exp_circle(cfg, out, files):
     }
 
     if _extra(cfg, "meanfield"):
-        initial = systems.random_circle_ensemble(cfg.m, cfg.seed)
-        counts, _ = np.histogram(initial.angles, bins=GRID_N,
-                                 range=(0.0, TWO_PI))
+        _, counts = _bin(start.angles, GRID_N, TWO_PI)
         grid = DensityGrid(counts / (cfg.m * TWO_PI / GRID_N), t=0.0)
         files.append(io.write_density_csv(out / "density_0.csv", grid))
         evolved = meanfield_integrate(grid, T_END, DT)

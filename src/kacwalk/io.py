@@ -4,9 +4,11 @@ Every CSV is written under one cell rule: integer and bool columns as
 decimal integers, any other column as ``repr(float(v))`` (the shortest
 text that reads back to the same float). Headers and row order are
 fixed, and files end with a single newline, so rerunning a seeded
-experiment reproduces its outputs byte for byte. Readers return numpy
-arrays, parse integer columns straight to int64, and accept exactly what
-the writers emit.
+experiment reproduces its outputs byte for byte. ``write_series_csv``
+is the one column writer: the snapshot, step, trace and histogram
+writers each name their columns and pass them to it. Readers return
+numpy arrays, parse integer columns straight to int64, and accept
+exactly what the writers emit.
 """
 
 import csv
@@ -55,7 +57,7 @@ def _write_rows(path, header, rows):
     return Path(path)
 
 
-def _write_columns(path, header, *columns):
+def write_series_csv(path, header, *columns):
     """CSV of the header, then one row per index across the columns: one
     column per header name, all of one length. Anything else is refused
     before the file is opened."""
@@ -86,8 +88,8 @@ def write_snapshots_csv(path, snapshots):
         raise ValueError("snapshots have inconsistent widths")
     header = ["k"] + [f"sigma_{p}" for p in range(1, n + 1)] + ["frob_sq"]
     sigmas = np.array([snap.sigmas for snap in snapshots])
-    return _write_columns(path, header, [snap.k for snap in snapshots],
-                          *sigmas.T, [snap.frob_sq for snap in snapshots])
+    return write_series_csv(path, header, [snap.k for snap in snapshots],
+                            *sigmas.T, [snap.frob_sq for snap in snapshots])
 
 
 def read_snapshots_csv(path):
@@ -101,9 +103,9 @@ def read_snapshots_csv(path):
 
 def write_steps_csv(path, log):
     """Per-step log ``k, i, j, c, skipped``, k from 1, skipped as 0/1."""
-    return _write_columns(path, ["k", "i", "j", "c", "skipped"],
-                          range(1, len(log) + 1), log.i, log.j, log.c,
-                          log.skipped)
+    return write_series_csv(path, ["k", "i", "j", "c", "skipped"],
+                            range(1, len(log) + 1), log.i, log.j, log.c,
+                            log.skipped)
 
 
 def read_steps_csv(path):
@@ -113,16 +115,10 @@ def read_steps_csv(path):
             c.astype(np.float64), skipped.astype(np.int64).astype(bool))
 
 
-def write_series_csv(path, header, ks, *columns):
-    """Integer index column ``header[0]`` (``ks``) against float columns
-    ``header[1:]``, one row per index."""
-    return _write_columns(path, header, ks, *columns)
-
-
 def write_trace_csv(path, trace):
     """Solver error curve ``iter, error_sq``."""
-    return _write_columns(path, ["iter", "error_sq"], trace.iters,
-                          trace.error_sq)
+    return write_series_csv(path, ["iter", "error_sq"], trace.iters,
+                            trace.error_sq)
 
 
 def read_trace_csv(path):
@@ -145,8 +141,8 @@ def read_density_csv(path):
 
 def write_histogram_csv(path, centers, counts):
     """Histogram ``bin_center, count``."""
-    return _write_columns(path, ["bin_center", "count"],
-                          np.asarray(centers, dtype=np.float64), counts)
+    return write_series_csv(path, ["bin_center", "count"],
+                            np.asarray(centers, dtype=np.float64), counts)
 
 
 def write_json(path, payload):

@@ -187,7 +187,7 @@ class DensityGrid:
 
     def __post_init__(self):
         self.u = linalg.as_vector(self.u)
-        if self.N % 4 != 0 or self.N < 4:
+        if self.N % 4 != 0:
             raise ValueError(f"grid size must be a positive multiple of 4, got {self.N}")
         if float(self.u.min()) < 0.0:
             raise ValueError("density must be nonnegative")
@@ -314,7 +314,7 @@ def meanfield_integrate(grid, t_end, dt):
     negative, or leaks mass beyond 1e-6 (negative undershoot below 1e-12
     is clamped to zero).
     """
-    u = grid.u.copy()
+    u = grid.u
     for _, u in _rk4_path(grid, t_end, dt):
         pass
     return DensityGrid(u, t=t_end)

@@ -116,23 +116,21 @@ def kaczmarz_solve(system, x0, config):
     A, b, m = system.A, system.b, system.m
     rows = _draws(np.random.default_rng(config.seed), m)
 
-    if system.x_ref is not None:
+    # The squared residual ||A v - b||^2. ndarray.dot makes the same BLAS
+    # gemv call as @ with less overhead on small arrays; it runs at every
+    # exact check. Without x_ref it is also the recorded error.
+    def residual_sq(v):
+        r = A.dot(v) - b
+        return float(r.dot(r))
+
+    if system.x_ref is None:
+        err = residual_sq
+    else:
         ref = system.x_ref
 
         def err(v):
             d = v - ref
             return float(d @ d)
-    else:
-
-        def err(v):
-            r = A @ v - b
-            return float(r @ r)
-
-    # ndarray.dot makes the same BLAS gemv call as @ with less overhead
-    # on small arrays; it runs at every exact check.
-    def residual(v):
-        r = A.dot(v) - b
-        return math.sqrt(float(r.dot(r)))
 
     # The loop's unknown is v, and projection i makes lhs[i] . v equal
     # rhs[i]. For m <= n, v is w in x = x0 + A^T w: lhs is A A^T, no
@@ -153,7 +151,7 @@ def kaczmarz_solve(system, x0, config):
                            config.max_iters)
     iters = [0]
     errors = [err(x)]
-    converged = residual(x) <= target
+    converged = math.sqrt(residual_sq(x)) <= target
     k = 0
     while not converged and k < last:
         # Project up to the next check point, then check.
@@ -167,7 +165,7 @@ def kaczmarz_solve(system, x0, config):
                 row = lhs[i]
                 v += (rhs[i] - float(row.dot(v))) * row
         k = stop
-        converged = residual(x) <= target
+        converged = math.sqrt(residual_sq(x)) <= target
         if converged or k == last or k % every == 0:
             iters.append(k)
             errors.append(err(x))

@@ -160,8 +160,6 @@ def logistic_ode_check(n, sigma0, t_max):
     the shipped predictor is wrong.
     """
     _check_prediction_args(n, sigma0)
-    if sigma0 > 1.0:
-        raise ValueError(f"sigma0 must be <= 1, got {sigma0}")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     rate = 2.0 / (n * (n - 1))

@@ -171,6 +171,15 @@ def test_overdetermined_outputs(tmp_path, walks):
     hist = (tmp_path / "hist_final_sigmas.csv").read_text().splitlines()
     assert hist[0] == "bin_center,count"
     assert len(hist) == 21  # 20 bins plus header
+    finals = np.concatenate([
+        io.read_snapshots_csv(tmp_path / f"sigma_traj_{seed}.csv")[1][-1]
+        for seed in (0, 1)])
+    centers, counts = np.loadtxt(tmp_path / "hist_final_sigmas.csv",
+                                 delimiter=",", skiprows=1).T
+    assert counts.sum() == 2 * 5  # trials x n
+    width = 1.001 * finals.max() / 20
+    np.testing.assert_allclose(centers, width * (np.arange(20) + 0.5),
+                               rtol=1e-12)
     report = io.read_json(tmp_path / "report.json")
     assert len(report["trial_conds"]) == 2
     assert 0.0 <= report["fraction_cond_improved"] <= 1.0
@@ -200,6 +209,10 @@ def test_circle_outputs_with_meanfield(tmp_path):
     t1, u1 = io.read_density_csv(tmp_path / "density_2.csv")
     assert (t0, t1) == (0.0, 2.0)
     assert u0.shape == u1.shape == (256,)
+    # The start is trial 0's starting ensemble, binned on the grid.
+    counts, _ = np.histogram(systems.random_circle_ensemble(24, 4).angles,
+                             bins=256, range=(0.0, 2.0 * math.pi))
+    np.testing.assert_array_equal(u0, counts / (24 * 2.0 * math.pi / 256))
     trace = (tmp_path / "order4_4.csv").read_text().splitlines()
     assert trace[0] == "k,order4"
     assert len(trace) == 5  # k = 0, 500, 1000, 1500 plus header

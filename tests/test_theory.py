@@ -179,5 +179,5 @@ def test_logistic_ode_check_runs_the_shipped_predictor(monkeypatch):
 def test_logistic_ode_check_validation():
     with pytest.raises(ValueError):
         logistic_ode_check(10, 0.5, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma0 must be <= 1"):
         logistic_ode_check(10, 2.0, 1.0)
