@@ -33,7 +33,7 @@ def build_parser():
         for name, (_, help_text) in experiments.FIELDS.items():
             sp.add_argument("--" + name.replace("_", "-"), type=int,
                             default=None, help=help_text)
-        sp.add_argument("--out", type=str, default=None, dest="out",
+        sp.add_argument("--out", type=str, default=None, dest="output_dir",
                         help="output directory (default: current directory)")
         sp.add_argument("-x", "--extra", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -59,10 +59,9 @@ def resolve_config(args):
             raise ValueError(f"--extra expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         extra[key.strip()] = value.strip()
-    overrides = {name: getattr(args, name) for name in experiments.FIELDS}
-    overrides["output_dir"] = args.out
     return dataclasses.replace(cfg, extra=extra, **{
-        name: value for name, value in overrides.items() if value is not None})
+        name: getattr(args, name) for name in (*experiments.FIELDS, "output_dir")
+        if getattr(args, name) is not None})
 
 
 def main(argv=None):

@@ -101,11 +101,9 @@ def _shapes(text):
     for m, n in shapes:
         if m < 2:
             raise ValueError(f"audit shapes need m >= 2 (a row pair), got {m}")
-        if n < 1:
-            raise ValueError(f"audit shapes need n >= 1, got {n}")
-        if n == 1:
-            raise ValueError("audit shapes need n >= 2: with one column "
-                             "every row pair is parallel")
+        if n < 2:
+            raise ValueError(f"audit shapes need n >= 2 (with one column "
+                             f"every row pair is parallel), got {n}")
     return tuple(shapes)
 
 

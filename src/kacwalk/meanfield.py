@@ -140,13 +140,10 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
         raise ValueError(f"steps must be >= 0, got {steps}")
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    n = ensemble.n
-    if n < 2:
-        raise ValueError("need at least two angles")
     # A list of Python floats: the same float64 arithmetic, without the
     # cost of numpy scalar indexing on every step.
     theta = ensemble.angles.tolist()
-    rng = _BlockDraws(np.random.default_rng(seed), n)
+    rng = _BlockDraws(np.random.default_rng(seed), ensemble.n)
     samples = []
     skipped = 0
     # With no stride the only sample points are the two endpoints.
@@ -167,8 +164,6 @@ def _order4(theta):
 def order_parameter_4(ensemble):
     """|mean of exp(4 i theta)|: 1 when all angles agree modulo pi/2,
     near 0 for an angularly spread population."""
-    if ensemble.n == 0:
-        raise ValueError("empty ensemble")
     return _order4(ensemble.angles)
 
 

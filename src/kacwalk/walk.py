@@ -187,25 +187,23 @@ def _draws(rng, m):
 class _BlockDraws:
     """A source of ``integers(m)`` for one fixed m: the _draws stream of
     a numpy Generator, so a walk driven through this source takes the
-    same pairs as one that draws each index on its own. Any other bound
-    is refused, and so is m < 2, which has no pair. ``integers`` and
-    ``segments`` both read the one stream, so the pairs ``segments``
-    serves are those of sample_pair's rule, and it leaves the stream
-    where those calls would.
+    same pairs as one that draws each index on its own. m < 2, which has
+    no pair, is refused. ``integers`` and ``segments`` both read the one
+    stream, so the pairs ``segments`` serves are those of sample_pair's
+    rule, and it leaves the stream where those calls would.
     """
 
-    __slots__ = ("_m", "_draw")
+    __slots__ = ("_draw",)
 
     def __init__(self, rng, m):
         # Below two there is no pair, and segments() would reject forever.
         if m < 2:
             raise ValueError(f"need at least two rows to form a pair, got {m}")
-        self._m = m
         self._draw = _draws(rng, m).__next__
 
     def integers(self, m):
-        if m != self._m:
-            raise ValueError(f"this source draws below {self._m}, not {m}")
+        """The next draw; m is the source's own bound, as sample_pair
+        passes it."""
         return self._draw()
 
     def segments(self, start, stop):

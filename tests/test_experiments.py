@@ -306,7 +306,7 @@ def test_theorem_audit_runs_12x12_and_rejects_bad_shapes(tmp_path):
     run_experiment(cfg)
     report = io.read_json(tmp_path / "report.json")
     assert report["per_shape_worst_gap"]["12x12"] >= -1e-10
-    for shapes, match in (("1x3", "m >= 2"), ("3x0", "n >= 1")):
+    for shapes, match in (("1x3", "m >= 2"), ("3x0", "n >= 2")):
         with pytest.raises(ValueError, match=match):
             default_config("theorem_audit", output_dir=tmp_path, trials=1,
                            extra={"shapes": shapes})
@@ -437,6 +437,32 @@ def test_cli_rejects_bad_extra_values_before_any_work(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"kkw: error: extra {bad}: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_meanfield_off_writes_no_density(tmp_path, capsys):
+    code = cli.main(["circle", "--m", "8", "--steps", "20", "--trials", "1",
+                     "-x", "meanfield=off", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    assert "meanfield" not in io.read_json(tmp_path / "report.json")
+    assert not list(tmp_path.glob("density_*.csv"))
+
+
+def test_cli_audit_shapes_skip_empty_tokens(tmp_path, capsys):
+    code = cli.main(["theorem_audit", "--trials", "1",
+                     "-x", "shapes=4x4,,6x6", "--out", str(tmp_path)])
+    assert code == 0
+    capsys.readouterr()
+    assert io.read_json(tmp_path / "report.json")["shapes"] == ["4x4", "6x6"]
+
+
+def test_cli_audit_refuses_an_empty_shape_list(tmp_path, capsys):
+    code = cli.main(["theorem_audit", "-x", "shapes=,",
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "kkw: error: extra shapes=',': no shapes given\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -122,6 +122,13 @@ def test_snapshot_writer_validation(tmp_path, walk_artifacts):
         io.write_snapshots_csv(tmp_path / "w.csv", [snaps[0], narrow])
 
 
+def test_snapshot_reader_refuses_another_header(tmp_path):
+    path = io.write_series_csv(tmp_path / "t.csv", ["iter", "error_sq"],
+                               [0, 1], [1.0, 0.5])
+    with pytest.raises(ValueError, match="unexpected header in"):
+        io.read_snapshots_csv(path)
+
+
 def test_column_writers_format_floats_as_fmt_does(tmp_path):
     from types import SimpleNamespace
 

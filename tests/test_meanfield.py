@@ -138,7 +138,7 @@ def test_run_circle_walk_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="sample_every"):
             run_circle_walk(ens, 10, seed=0, sample_every=bad)
-    with pytest.raises(ValueError, match="two angles"):
+    with pytest.raises(ValueError, match="at least two"):
         run_circle_walk(random_circle_ensemble(1, seed=0), 10, seed=0)
 
 
@@ -350,6 +350,36 @@ def test_integrate_validation():
     assert np.array_equal(meanfield_integrate(g, 0.0, 0.005).u, g.u)
 
 
+def _constant_rhs(du):
+    """A stand-in for meanfield._rhs whose derivative is du everywhere."""
+    return lambda u: np.broadcast_to(du, u.shape).copy()
+
+
+@pytest.mark.parametrize("du,message", [
+    (1e12, "density blow-up at step 1"),
+    (np.array([-100.0, 100.0] + [0.0] * 14), "went negative at step 1"),
+    (1.0, "mass drift"),
+], ids=["blow-up", "negative", "mass-drift"])
+def test_integrate_refuses_a_broken_step(monkeypatch, du, message):
+    # _rk4_path looks _rhs up at every step.
+    monkeypatch.setattr(meanfield, "_rhs", _constant_rhs(du))
+    with pytest.raises(FloatingPointError, match=message):
+        meanfield_integrate(uniform_grid(16), 1.0, 0.005)
+
+
+def test_integrate_clamps_a_tiny_undershoot_to_zero(monkeypatch):
+    # Cell 0 starts at exactly 0 and one 0.005 step takes it to about
+    # -5e-14, within NEGATIVE_CLAMP of zero.
+    u0 = np.full(16, UNIFORM_DENSITY * 16 / 15)
+    u0[0] = 0.0
+    du = np.zeros(16)
+    du[:2] = -1e-11, 1e-11
+    monkeypatch.setattr(meanfield, "_rhs", _constant_rhs(du))
+    out = meanfield_integrate(DensityGrid(u0), 0.005, 0.005)
+    assert out.u[0] == 0.0
+    assert out.u[1] > u0[1]
+
+
 def test_mode_one_decays_at_the_grid_rate():
     rate = fourier_decay_rate(cosine_grid(64, 1, 1e-3), 1, t_end=2.0, dt=0.005)
     assert rate == pytest.approx(_grid_mode_one_rate(64), rel=1e-6)
@@ -423,6 +453,11 @@ def test_fourier_decay_rate_validation():
     far = DensityGrid(far.u / (far.u.sum() * far.cell_width))
     with pytest.raises(ValueError, match="uniform"):
         fourier_decay_rate(far, 1, 1.0, 0.005)
+
+
+def test_fourier_decay_rate_refuses_a_vanished_mode():
+    with pytest.raises(ValueError, match="fell below 1e-15"):
+        fourier_decay_rate(cosine_grid(64, 1, 0.0), 1, 0.1, 0.005)
 
 
 def test_mode_amplitude_bounds():

@@ -325,6 +325,13 @@ def test_solve_trace_refuses_unequal_lengths():
         SolveTrace(np.array([0, 10, 20]), np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("iters", [[0, 10, 10], [0, 20, 10]],
+                         ids=["repeated", "decreasing"])
+def test_solve_trace_refuses_iterations_that_do_not_increase(iters):
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        SolveTrace(np.array(iters), np.ones(3))
+
+
 # ------------------------------------------------------- walk, then solve
 
 

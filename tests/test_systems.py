@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kacwalk import systems
 from kacwalk.meanfield import TWO_PI
 from kacwalk.systems import (
     gaussian_system,
@@ -32,6 +33,19 @@ def test_gaussian_system_validation():
     # refuse before drawing instead of after 100 rejected draws.
     with pytest.raises(ValueError, match="m >= n"):
         gaussian_system(10, 20, seed=0)
+
+
+def test_gaussian_system_gives_up_after_100_draws(monkeypatch):
+    # With no acceptable sigma_min every draw is rejected.
+    monkeypatch.setattr(systems, "MIN_SIGMA", np.inf)
+    with pytest.raises(RuntimeError, match=(
+            "no acceptable 4x3 draw in 100 attempts for seed 5")):
+        gaussian_system(4, 3, seed=5)
+
+
+def test_random_orthogonal_system_validation():
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        random_orthogonal_system(1, seed=0)
 
 
 def test_random_orthogonal_system_rows_orthonormal():

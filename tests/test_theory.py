@@ -97,6 +97,11 @@ def test_oracle_rejects_degenerate_and_invalid_input():
         expected_gain_exact(np.eye(3), np.ones(2))
 
 
+def test_oracle_needs_two_rows():
+    with pytest.raises(ValueError, match="need at least two rows"):
+        expected_gain_exact(np.array([[1.0, 0.0]]), np.ones(2))
+
+
 # ------------------------------------------------------------ predictions
 
 

@@ -40,6 +40,11 @@ def test_system_rejects_bad_rhs_length():
         LinearSystem(np.eye(3), np.zeros(2))
 
 
+def test_system_rejects_bad_reference_length():
+    with pytest.raises(ValueError, match="x_ref has length 2, expected 3"):
+        LinearSystem(np.eye(3), np.zeros(3), np.zeros(2))
+
+
 def test_system_rejects_inconsistent_reference():
     with pytest.raises(ValueError, match="does not solve"):
         LinearSystem(np.eye(2), np.array([1.0, 0.0]), np.array([0.0, 0.0]))
@@ -273,6 +278,11 @@ def test_snapshot_residual_none_without_reference():
     assert take_snapshot(sys0, 0).residual_inf is None
 
 
+def test_residual_at_reference_needs_a_reference():
+    with pytest.raises(ValueError, match="carries no reference solution"):
+        walk.residual_at_reference(LinearSystem(np.eye(2), np.zeros(2)))
+
+
 def test_walk_grows_smallest_singular_value_on_ill_conditioned_input():
     sys0 = gaussian_system(20, 20, seed=42)
     _, _, snaps = run_walk(sys0, WalkConfig(seed=1, steps=4000,
@@ -319,13 +329,6 @@ def test_block_draws_match_scalar_draws_across_blocks(m):
     steps = 2 * _DRAW_BLOCK + 3
     assert ([int(blocks.integers(m)) for _ in range(steps)]
             == [int(scalar.integers(m)) for _ in range(steps)])
-
-
-def test_block_draws_refuse_another_bound():
-    blocks = _BlockDraws(np.random.default_rng(0), 5)
-    blocks.integers(5)
-    with pytest.raises(ValueError, match="5"):
-        blocks.integers(4)
 
 
 def test_block_draws_refuse_fewer_than_two_rows():
