@@ -149,7 +149,7 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     # With no stride the only sample points are the two endpoints.
     stops = _stops(steps, sample_every or max(steps, 1))
     for p, k in zip([0, *stops], stops):
-        for _, _, ii, jj in rng.segments(p, k):
+        for _, ii, jj in rng.segments(p, k):
             for i, j in zip(ii, jj):
                 if not _step_angles(theta, i, j):
                     skipped += 1

@@ -22,13 +22,14 @@ whole-array operations and scattered back. Levels never cross a piece of
 ``np.vecdot`` over rows of unit stride calls the same BLAS ``ddot`` as
 ``ndarray.dot``, so the rows, the log and every snapshot are bit for bit
 those of the per-step loop, wherever the stops fall. Both loops, and
-``run_circle_walk``, draw their row indices from one ``_BlockDraws``
-stream per run.
+``run_circle_walk``, draw their pairs from one ``_BlockDraws`` stream
+per run: one draw of ``integers(m(m - 1))`` per pair, decoded to the
+ordered pair it names (``_decode``), with no draw thrown away.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -58,8 +59,8 @@ DEGENERATE_TOL = 1e-12
 # 1 - DEGENERATE_TOL rounds up, and for c^2 >= 0.5 the difference 1 - c^2
 # is exact, so the two tests agree on every double c.
 _SKIP_C2 = 1.0 - DEGENERATE_TOL
-# The walk loops and the solver draw their row indices this many at a
-# time (_draws).
+# The walk loops draw their pair codes, and the solver its row indices,
+# this many at a time (_draws).
 _DRAW_BLOCK = 4096
 # run_walk applies the steps of systems with at least this many rows one
 # dependency level at a time; on fewer it calls walk_step once per step.
@@ -180,49 +181,43 @@ def _draws(rng, m):
     _DRAW_BLOCK at a time. ``rng.integers(m, size=K)`` yields exactly the
     values of K scalar ``rng.integers(m)`` calls, so the stream is that
     of scalar draws, at a fraction of the interpreter cost."""
-    return itertools.chain.from_iterable(
+    return chain.from_iterable(
         iter(lambda: rng.integers(m, size=_DRAW_BLOCK).tolist(), None))
 
 
 class _BlockDraws:
-    """A source of ``integers(m)`` for one fixed m: the _draws stream of
-    a numpy Generator, so a walk driven through this source takes the
-    same pairs as one that draws each index on its own. m < 2, which has
-    no pair, is refused. ``integers`` and ``segments`` both read the one
-    stream, so the pairs ``segments`` serves are those of sample_pair's
-    rule, and it leaves the stream where those calls would.
+    """A source of pair codes for one fixed m: the _draws stream of
+    ``integers(m(m - 1))`` on a numpy Generator, so a walk driven through
+    this source takes the same pairs as one that calls sample_pair on the
+    generator itself. m < 2, which has no pair, is refused. ``integers``
+    and ``segments`` both read the one stream, so the pairs ``segments``
+    serves are those of sample_pair's rule, and it leaves the stream where
+    those calls would. m(m - 1) fits int64 for every m below 3e9, far past
+    any matrix that fits in memory.
     """
 
-    __slots__ = ("_draw",)
-
     def __init__(self, rng, m):
-        # Below two there is no pair, and segments() would reject forever.
+        # Below two there is no pair; numpy's own refusal of the bound
+        # m(m - 1) = 0 would not name the row count.
         if m < 2:
             raise ValueError(f"need at least two rows to form a pair, got {m}")
-        self._draw = _draws(rng, m).__next__
+        self._m = m
+        self._stream = _draws(rng, m * (m - 1))
 
-    def integers(self, m):
-        """The next draw; m is the source's own bound, as sample_pair
-        passes it."""
-        return self._draw()
+    def integers(self, bound):
+        """The next code; bound is the source's own, m(m - 1), as
+        sample_pair passes it."""
+        return next(self._stream)
 
     def segments(self, start, stop):
-        """Yield (p, k, ii, jj) for steps start + 1 .. stop of a walk, in
-        pieces p + 1 .. k of at most _DRAW_BLOCK steps: (ii[q], jj[q]) is
-        the pair of step p + q + 1, the next that ``sample_pair(self, m)``
-        would draw, as a list of i and a list of j."""
-        draw = self._draw
+        """Yield (p, ii, jj) for steps start + 1 .. stop of a walk, in
+        pieces of at most _DRAW_BLOCK steps: (ii[q], jj[q]) is the pair of
+        step p + q + 1, the next that ``sample_pair(self, m)`` would
+        draw, as a list of i and a list of j."""
         for p in range(start, stop, _DRAW_BLOCK):
-            k = min(stop, p + _DRAW_BLOCK)
-            ii, jj = [], []
-            for _ in range(k - p):
-                i = draw()
-                j = draw()
-                while j == i:
-                    j = draw()
-                ii.append(i)
-                jj.append(j)
-            yield p, k, ii, jj
+            piece = islice(self._stream, min(stop - p, _DRAW_BLOCK))
+            ii, jj = _decode(np.fromiter(piece, np.int64), self._m)
+            yield p, ii.tolist(), jj.tolist()
 
 
 def _stops(steps, every):
@@ -234,21 +229,26 @@ def _stops(steps, every):
 def sample_pair(rng, m):
     """Ordered pair (i, j) with i != j, uniform over all m(m-1) choices.
 
-    rng is any source with an ``integers(m)`` method, such as a numpy
-    Generator. _walk's per-step loop passes a _BlockDraws over one,
-    which yields the same stream; _walk's level engine and
+    rng is any source with an ``integers(bound)`` method, such as a numpy
+    Generator. One draw t of ``integers(m(m - 1))`` names the pair (see
+    _decode), so each pair has the mass of exactly one code and no draw
+    is thrown away. _walk's per-step loop passes a _BlockDraws over one
+    generator, which yields the same stream; _walk's level engine and
     run_circle_walk take the same pairs a piece at a time from
     _BlockDraws.segments, which reads them from that stream.
-    j is drawn by rejection so every ordered pair has exactly equal mass
-    under the generator's raw integer stream.
     """
     if m < 2:
         raise ValueError(f"need at least two rows to form a pair, got {m}")
-    i = int(rng.integers(m))
-    j = int(rng.integers(m))
-    while j == i:
-        j = int(rng.integers(m))
-    return i, j
+    return _decode(int(rng.integers(m * (m - 1))), m)
+
+
+def _decode(t, m):
+    """The pair (i, j) that code t in [0, m(m - 1)) names, elementwise
+    on an int64 array of codes: i = t // (m - 1), and j is the remainder
+    r, moved up by one from i on so that it skips i. The codes and the
+    ordered pairs of distinct rows correspond one to one."""
+    i, r = divmod(t, m - 1)
+    return i, r + (r >= i)
 
 
 def walk_step(system, i, j):
@@ -271,7 +271,7 @@ def walk_step(system, i, j):
     and the residual at x_ref grows by many orders of magnitude even
     though every step is exact in real arithmetic. A larger
     DEGENERATE_TOL would only change how far (31x30, seed 0, 100k steps:
-    2.7e142 at 1e-12, 0.34 at 1e-2); watch residual_inf and the
+    1.5e60 at 1e-12, 3.7e5 at 1e-2); watch residual_inf and the
     amplification sum -1/2 log(1 - c^2) (log_amp_max) instead.
     """
     A, b = system.A, system.b
@@ -364,7 +364,7 @@ def _walk(system, seed, stops):
                 log.j[q] = j
                 log.c[q], log.skipped[q] = walk_step(work, i, j)
         else:
-            for start, _, ii, jj in rng.segments(p, k):
+            for start, ii, jj in rng.segments(p, k):
                 _walk_levels(W, ii, jj, log, start)
         yield k, work, log
 

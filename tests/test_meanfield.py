@@ -150,16 +150,16 @@ def test_run_circle_walk_validation():
     (4, 0, 10, False),
     (7, 500, 1000, True),
     (8, 5000, 768, True),
-], ids=["n5-past-blocks", "n2-half-rejected", "n200-samples-on-block-caps",
+], ids=["n5-past-blocks", "n2-divisor-one", "n200-samples-on-block-caps",
         "every-step", "no-steps", "stride-past-end", "ragged-end"])
 def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise(
         n, steps, every, skips):
     # The walk must be exactly sample_pair on a generator drawing scalars
     # plus circle_step, skips and samples too: past several draw blocks,
-    # with half the draws rejected (n = 2), with samples on the block caps,
-    # at every step, with no steps, and with a stride that passes or does
-    # not divide the step count. Two angles are perpendicular after one
-    # step and never skip again.
+    # at n = 2 (where the pair decode divides by n - 1 = 1), with samples
+    # on the block caps, at every step, with no steps, and with a stride
+    # that passes or does not divide the step count. Two angles are
+    # perpendicular after one step and never skip again.
     ens = random_circle_ensemble(n, seed=3)
     final, samples, skipped = run_circle_walk(ens, steps, seed=4,
                                               sample_every=every)

@@ -195,7 +195,7 @@ def test_tall_system_keeps_row_invariants():
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1: on tall systems rounding error in b grows in the left "
-    "null space of A; 31x30 seed 0 reaches 2.7e142"))
+    "null space of A; 31x30 seed 0 reaches 1.5e60"))
 def test_tall_walk_keeps_the_solution_over_100k_steps():
     # The bound of acceptance criterion 2 and of perfbench's walk check.
     system = gaussian_system(31, 30, 0)
@@ -320,36 +320,59 @@ def test_sample_pair_uniform_over_ordered_pairs():
     assert chi2 < 25.0
 
 
-@pytest.mark.parametrize("m", [2, 3, 31, 1000, 2**20 + 7, 2**33 + 5])
+def test_sample_pair_decodes_each_draw_to_one_ordered_pair():
+    # A source serving each code of [0, m(m-1)) once must give each
+    # ordered pair of distinct rows exactly once: one draw per pair, with
+    # nothing rejected.
+    class Codes:
+        def __init__(self, m):
+            self.codes = iter(range(m * (m - 1)))
+
+        def integers(self, bound):
+            return next(self.codes)
+
+    for m in (2, 3, 7, 31):
+        codes = Codes(m)
+        pairs = [sample_pair(codes, m) for _ in range(m * (m - 1))]
+        assert sorted(pairs) == [(i, j) for i in range(m) for j in range(m)
+                                 if i != j]
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
+
+
+@pytest.mark.parametrize("m", [2, 3, 31, 1000, 2**20 + 7, 2**31 + 11])
 def test_block_draws_match_scalar_draws_across_blocks(m):
-    # The walk loops rely on numpy's integers(m, size=K) yielding the
-    # values of K scalar integers(m) calls.
+    # The walk loops rely on numpy's integers(bound, size=K) yielding the
+    # values of K scalar integers(bound) calls, at the pair bound m(m-1);
+    # the largest m puts that bound past 2**62.
+    bound = m * (m - 1)
     scalar = np.random.default_rng(m)
     blocks = _BlockDraws(np.random.default_rng(m), m)
     steps = 2 * _DRAW_BLOCK + 3
-    assert ([int(blocks.integers(m)) for _ in range(steps)]
-            == [int(scalar.integers(m)) for _ in range(steps)])
+    assert ([int(blocks.integers(bound)) for _ in range(steps)]
+            == [int(scalar.integers(bound)) for _ in range(steps)])
 
 
 def test_block_draws_refuse_fewer_than_two_rows():
-    # At m = 1 every draw is 0, so segments() would reject j forever.
+    # At m = 1 the pair bound m(m-1) is 0, which numpy refuses without
+    # naming the row count.
     with pytest.raises(ValueError, match="at least two rows"):
         _BlockDraws(np.random.default_rng(0), 1)
 
 
-@pytest.mark.parametrize("m", [2, 3, 16, 31])
+@pytest.mark.parametrize("m", [2, 3, 16, 31, 200])
 def test_block_draws_pairs_match_sample_pair_across_blocks(m):
     # segments(0, count) must leave the source where count sample_pair
-    # calls would, also when a block runs out between i and j or
-    # mid-rejection.
+    # calls would, also when a piece ends short of a draw block or a
+    # draw block runs out inside a piece.
+    bound = m * (m - 1)
     scalar = np.random.default_rng(m)
     blocks = _BlockDraws(np.random.default_rng(m), m)
-    assert blocks.integers(m) == int(scalar.integers(m))
+    assert blocks.integers(bound) == int(scalar.integers(bound))
     for count in (1, 0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3, 2 * _DRAW_BLOCK + 5):
-        assert ([(i, j) for _, _, ii, jj in blocks.segments(0, count)
+        assert ([(i, j) for _, ii, jj in blocks.segments(0, count)
                  for i, j in zip(ii, jj)]
                 == [sample_pair(scalar, m) for _ in range(count)])
-        assert blocks.integers(m) == int(scalar.integers(m))
+        assert blocks.integers(bound) == int(scalar.integers(bound))
 
 
 @pytest.mark.parametrize("m, steps, every", [
@@ -370,9 +393,9 @@ def test_segments_tile_the_walk_and_replay_sample_pair(m, steps, every):
     draws = _BlockDraws(np.random.default_rng(m), m)
     for start, stop in zip(stops, stops[1:]):
         spans = []
-        for p, k, seg_i, seg_j in draws.segments(start, stop):
-            assert len(seg_i) == len(seg_j) == k - p
-            spans.append((p, k))
+        for p, seg_i, seg_j in draws.segments(start, stop):
+            assert len(seg_i) == len(seg_j)
+            spans.append((p, p + len(seg_i)))
             ii += seg_i
             jj += seg_j
         # The spans tile [start, stop) in order, none longer than a block.
@@ -428,10 +451,10 @@ def test_run_walk_replays_reference_steps_bitwise(tmp_path, system, steps,
     # run_walk must be exactly sample_pair + walk_step applied in order
     # on one generator drawing scalars; a faster engine gets checked
     # against this replay. The 2x2 and 3x2 cases cross several draw
-    # blocks, with j redrawn whenever it hits i. The cases with 16 or more
-    # rows run the dependency-level engine at any snapshot stride (down to
-    # every step), whose segments end at snapshots and, with snapshots
-    # more than _DRAW_BLOCK steps apart, at that cap.
+    # blocks at the smallest pair bounds, m(m-1) = 2 and 6. The cases with
+    # 16 or more rows run the dependency-level engine at any snapshot
+    # stride (down to every step), whose segments end at snapshots and,
+    # with snapshots more than _DRAW_BLOCK steps apart, at that cap.
     cfg = WalkConfig(seed=21, steps=steps, snapshot_every=every)
     final, log, snaps = run_walk(system, cfg)
     ref = system.copy()

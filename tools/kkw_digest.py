@@ -12,7 +12,8 @@ kept every output byte.
 The configs cover both walk engines (below and from 16 rows), on square
 and on tall systems, runs that apply no step (``--steps 0`` and a
 one-column system, whose pairs are all parallel), the circle walk with
-and without the mean-field integration, ``solver_compare`` with repeated
+and without the mean-field integration and at two angles (the smallest
+pair bound, m(m - 1) = 2), ``solver_compare`` with repeated
 and zero budgets and on a tall system, and ``theorem_audit``.
 """
 
@@ -45,6 +46,8 @@ CONFIGS = [
      dict(m=50, steps=2000, snapshot_every=100, trials=2),
      {"meanfield": "true"}),
     ("circle_steps0", "circle", dict(m=20, steps=0, trials=1), {}),
+    ("circle_m2", "circle",
+     dict(m=2, steps=1000, snapshot_every=100, trials=2), {}),
     ("solver_compare_budgets", "solver_compare",
      dict(m=40, n=40, steps=9600, trials=1),
      {"budgets": "3000,0,20000,3000,9600"}),
