@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from kacwalk import linalg
-from kacwalk.walk import DEGENERATE_TOL, _BlockDraws, _stops
+from kacwalk.walk import DEGENERATE_TOL, _segments, _stops
 
 __all__ = [
     "TWO_PI",
@@ -128,11 +128,11 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     steps (None records only the endpoints), and the final step; skipped
     counts degenerate pairs left unchanged.
 
-    The pairs come a piece at a time from _BlockDraws.segments, as in
+    The pairs come a piece at a time from walk._segments, as in
     run_walk's level engine: pieces of at most _DRAW_BLOCK steps that
-    end at each sample point, read from one _BlockDraws stream under
-    sample_pair's rule, so they are the pairs of one sample_pair call per
-    step on the same generator. Each pair is applied by one _step_angles
+    end at each sample point, read from one generator, so they are the
+    pairs of one sample_pair call per step on it (the stream rule in
+    walk's module docstring). Each pair is applied by one _step_angles
     call, so the angles, the samples and skipped are those of the
     per-step loop bit for bit.
     """
@@ -143,13 +143,13 @@ def run_circle_walk(ensemble, steps, seed, sample_every=None):
     # A list of Python floats: the same float64 arithmetic, without the
     # cost of numpy scalar indexing on every step.
     theta = ensemble.angles.tolist()
-    rng = _BlockDraws(np.random.default_rng(seed), ensemble.n)
+    rng = np.random.default_rng(seed)
     samples = []
     skipped = 0
     # With no stride the only sample points are the two endpoints.
     stops = _stops(steps, sample_every or max(steps, 1))
     for p, k in zip([0, *stops], stops):
-        for _, ii, jj in rng.segments(p, k):
+        for _, ii, jj in _segments(rng, ensemble.n, p, k):
             for i, j in zip(ii, jj):
                 if not _step_angles(theta, i, j):
                     skipped += 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from kacwalk import linalg
 from kacwalk.meanfield import _rk4_step
-from kacwalk.walk import DEGENERATE_TOL
+from kacwalk.walk import DEGENERATE_TOL, _pair_bound
 
 __all__ = [
     "GainReport",
@@ -81,8 +81,7 @@ def expected_gain_exact(A, x):
     A = linalg.as_matrix(A)
     x = linalg.as_vector(x)
     m, n = A.shape
-    if m < 2:
-        raise ValueError("need at least two rows")
+    pairs = _pair_bound(m)
     if x.shape[0] != n:
         raise ValueError(f"x has length {x.shape[0]}, expected {n}")
     linalg.check_unit_rows(A)
@@ -97,7 +96,6 @@ def expected_gain_exact(A, x):
     y = A @ x
     base = float(y @ y)
     w = A.T @ y
-    pairs = m * (m - 1)
     bound_rhs = base + 2.0 / pairs * (base - float(w @ w))
 
     # Here the first index of each flattened pair is the row that moves;

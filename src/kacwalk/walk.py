@@ -18,18 +18,28 @@ On larger ones it applies the same steps one dependency level at a
 time: a level is a set of steps that all read their rows before any of
 them writes its row j, gathered, updated with walk_step's formulas as
 whole-array operations and scattered back. Levels never cross a piece of
-``_BlockDraws.segments`` (at most 4096 steps, never past a stop), and
+``_segments`` (at most 4096 steps, never past a stop), and
 ``np.vecdot`` over rows of unit stride calls the same BLAS ``ddot`` as
 ``ndarray.dot``, so the rows, the log and every snapshot are bit for bit
-those of the per-step loop, wherever the stops fall. Both loops, and
-``run_circle_walk``, draw their pairs from one ``_BlockDraws`` stream
-per run: one draw of ``integers(m(m - 1))`` per pair, decoded to the
-ordered pair it names (``_decode``), with no draw thrown away.
+those of the per-step loop, wherever the stops fall.
+
+The stream rule: a run, matrix or circle, draws its pairs from one plain
+numpy Generator, one code of ``integers(m(m - 1))`` per pair
+(``_pair_bound``) decoded to the ordered pair it names (``_decode``),
+with no draw thrown away. The per-step loop reads the generator through
+``_BlockDraws``, which fetches 4096 codes at a time; the level engine
+and ``run_circle_walk`` read it one ``integers(m(m - 1), size=K)`` array
+a piece (``_segments``). numpy's ``integers(bound, size=K)`` returns
+the values, and leaves the generator state, of K scalar draws, so both
+give the pairs of one ``sample_pair`` call per step on that generator,
+and ``_segments`` and ``sample_pair`` may share one generator. A
+``_BlockDraws`` runs up to 4096 codes ahead of its generator, so no
+generator is read both through one and directly.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -60,7 +70,7 @@ DEGENERATE_TOL = 1e-12
 # is exact, so the two tests agree on every double c.
 _SKIP_C2 = 1.0 - DEGENERATE_TOL
 # The walk loops draw their pair codes, and the solver its row indices,
-# this many at a time (_draws).
+# this many at a time at most (_draws, _segments).
 _DRAW_BLOCK = 4096
 # run_walk applies the steps of systems with at least this many rows one
 # dependency level at a time; on fewer it calls walk_step once per step.
@@ -186,38 +196,30 @@ def _draws(rng, m):
 
 
 class _BlockDraws:
-    """A source of pair codes for one fixed m: the _draws stream of
-    ``integers(m(m - 1))`` on a numpy Generator, so a walk driven through
-    this source takes the same pairs as one that calls sample_pair on the
-    generator itself. m < 2, which has no pair, is refused. ``integers``
-    and ``segments`` both read the one stream, so the pairs ``segments``
-    serves are those of sample_pair's rule, and it leaves the stream where
-    those calls would. m(m - 1) fits int64 for every m below 3e9, far past
-    any matrix that fits in memory.
-    """
+    """The per-step loop's source of pair codes for one fixed m: the
+    _draws stream of ``integers(m(m - 1))`` on a numpy Generator (see the
+    stream rule in the module docstring)."""
 
     def __init__(self, rng, m):
-        # Below two there is no pair; numpy's own refusal of the bound
-        # m(m - 1) = 0 would not name the row count.
-        if m < 2:
-            raise ValueError(f"need at least two rows to form a pair, got {m}")
-        self._m = m
-        self._stream = _draws(rng, m * (m - 1))
+        self._stream = _draws(rng, _pair_bound(m))
 
     def integers(self, bound):
         """The next code; bound is the source's own, m(m - 1), as
         sample_pair passes it."""
         return next(self._stream)
 
-    def segments(self, start, stop):
-        """Yield (p, ii, jj) for steps start + 1 .. stop of a walk, in
-        pieces of at most _DRAW_BLOCK steps: (ii[q], jj[q]) is the pair of
-        step p + q + 1, the next that ``sample_pair(self, m)`` would
-        draw, as a list of i and a list of j."""
-        for p in range(start, stop, _DRAW_BLOCK):
-            piece = islice(self._stream, min(stop - p, _DRAW_BLOCK))
-            ii, jj = _decode(np.fromiter(piece, np.int64), self._m)
-            yield p, ii.tolist(), jj.tolist()
+
+def _segments(rng, m, start, stop):
+    """Yield (p, ii, jj) for steps start + 1 .. stop of a walk on the
+    Generator rng, in pieces of at most _DRAW_BLOCK steps: (ii[q], jj[q])
+    is the pair of step p + q + 1, as a list of i and a list of j. Each
+    piece is one array draw of ``integers(m(m - 1))`` (see the stream
+    rule in the module docstring); m < 2 is refused at the first next(),
+    even for an empty interval."""
+    bound = _pair_bound(m)
+    for p in range(start, stop, _DRAW_BLOCK):
+        i, j = _decode(rng.integers(bound, size=min(stop - p, _DRAW_BLOCK)), m)
+        yield p, i.tolist(), j.tolist()
 
 
 def _stops(steps, every):
@@ -232,14 +234,21 @@ def sample_pair(rng, m):
     rng is any source with an ``integers(bound)`` method, such as a numpy
     Generator. One draw t of ``integers(m(m - 1))`` names the pair (see
     _decode), so each pair has the mass of exactly one code and no draw
-    is thrown away. _walk's per-step loop passes a _BlockDraws over one
-    generator, which yields the same stream; _walk's level engine and
-    run_circle_walk take the same pairs a piece at a time from
-    _BlockDraws.segments, which reads them from that stream.
+    is thrown away. The walks take the pairs of these calls (see the
+    stream rule in the module docstring).
     """
+    return _decode(int(rng.integers(_pair_bound(m))), m)
+
+
+def _pair_bound(m):
+    """m(m - 1), the number of ordered pairs of distinct rows among m and
+    so the bound of the codes that name them. m < 2, which has no pair,
+    is refused here: numpy's own refusal of the bound 0 would not name
+    the row count. m(m - 1) fits int64 for every m below 3e9, far past
+    any matrix that fits in memory."""
     if m < 2:
         raise ValueError(f"need at least two rows to form a pair, got {m}")
-    return _decode(int(rng.integers(m * (m - 1))), m)
+    return m * (m - 1)
 
 
 def _decode(t, m):
@@ -317,9 +326,10 @@ def residual_at_reference(system):
 def run_walk(system, config):
     """Run config.steps sampled updates on a copy of the system.
 
-    The pairs are those of one sample_pair call per step on one generator,
-    and every step is walk_step's update (see _walk), so the rows, the
-    log and the snapshots are bit for bit those of that per-step loop.
+    The pairs are those of one sample_pair call per step on one generator
+    (the stream rule in the module docstring), and every step is
+    walk_step's update (see _walk), so the rows, the log and the
+    snapshots are bit for bit those of that per-step loop.
 
     Returns
     -------
@@ -336,23 +346,25 @@ def run_walk(system, config):
 
 
 def _walk(system, seed, stops):
-    """Walk a copy of the system on seed's one _BlockDraws stream and
-    yield (k, walked, log) after each of the ascending stops k (0 may be
-    one). walked and log are the same objects at every stop, updated in
-    place; log is preallocated to stops[-1] steps.
+    """Walk a copy of the system on seed's one generator and yield
+    (k, walked, log) after each of the ascending stops k (0 may be one).
+    walked and log are the same objects at every stop, updated in place;
+    log is preallocated to stops[-1] steps.
 
     walked.A and walked.b are views of one array W = [A | b], so row p
     of W is [A_p, b_p] and both engines update W itself. Systems with
-    fewer than _LEVEL_MIN_ROWS rows call sample_pair and walk_step once
-    per step. Larger ones take each stop's pairs from
-    _BlockDraws.segments and apply each piece one dependency level at a
-    time (_walk_levels). Within a level every read comes before any
+    fewer than _LEVEL_MIN_ROWS rows call sample_pair, through a
+    _BlockDraws, and walk_step once per step. Larger ones take each
+    stop's pairs from _segments and apply each piece one dependency level
+    at a time (_walk_levels); the module docstring's stream rule makes
+    the pairs the same. Within a level every read comes before any
     write, so walked and the log at each stop are bit for bit those of
     the per-step loop.
     """
     work = system.copy()
     m = work.m
-    rng = _BlockDraws(np.random.default_rng(seed), m)
+    gen = np.random.default_rng(seed)
+    rng = _BlockDraws(gen, m) if m < _LEVEL_MIN_ROWS else gen
     log = StepLog(stops[-1])
     W = np.column_stack((work.A, work.b))
     work.A, work.b = W[:, :-1], W[:, -1]
@@ -364,7 +376,7 @@ def _walk(system, seed, stops):
                 log.j[q] = j
                 log.c[q], log.skipped[q] = walk_step(work, i, j)
         else:
-            for start, ii, jj in rng.segments(p, k):
+            for start, ii, jj in _segments(rng, m, p, k):
                 _walk_levels(W, ii, jj, log, start)
         yield k, work, log
 

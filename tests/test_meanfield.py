@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,7 @@ def test_run_circle_walk_replays_scalar_pairs_and_circle_steps_bitwise(
 
 def test_run_circle_walk_steps_through_step_angles_only(monkeypatch):
     # One _step_angles call per step, and never sample_pair: the pairs
-    # come from the block stream a segment at a time.
+    # come from walk._segments a piece at a time.
     calls = []
 
     def counted(theta, i, j, _real=meanfield._step_angles):
@@ -197,6 +199,20 @@ def test_run_circle_walk_steps_through_step_angles_only(monkeypatch):
     run_circle_walk(random_circle_ensemble(6, seed=1), steps, seed=2,
                     sample_every=500)
     assert len(calls) == steps
+
+
+def test_run_circle_walk_memory_stays_near_one_piece():
+    # One piece of codes is 4096 int64 values and its decode a few arrays
+    # and lists of that length, about 32 KB each. A walk that also held
+    # each block of codes as a list of Python ints peaks near 240 KB.
+    ensemble = random_circle_ensemble(200, 0)
+    tracemalloc.start()
+    try:
+        run_circle_walk(ensemble, 100000, 0, sample_every=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 # ------------------------------------------------------------------- grids

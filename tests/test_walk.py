@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacwalk import io, linalg, walk
+from kacwalk.meanfield import CircleEnsemble, run_circle_walk
 from kacwalk.systems import gaussian_system, random_orthogonal_system
+from kacwalk.theory import expected_gain_exact
 from kacwalk.walk import (
     _DRAW_BLOCK,
     _LEVEL_MIN_ROWS,
     LinearSystem,
     WalkConfig,
     _BlockDraws,
+    _segments,
     _stops,
     _walk,
     run_walk,
@@ -352,27 +355,43 @@ def test_block_draws_match_scalar_draws_across_blocks(m):
             == [int(scalar.integers(bound)) for _ in range(steps)])
 
 
-def test_block_draws_refuse_fewer_than_two_rows():
+def _one_row_system():
+    return LinearSystem(np.array([[1.0, 0.0, 0.0]]), np.array([2.0]))
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: sample_pair(np.random.default_rng(0), 1),
+    lambda: _BlockDraws(np.random.default_rng(0), 1),
+    lambda: list(_segments(np.random.default_rng(0), 1, 0, 0)),
+    lambda: run_walk(_one_row_system(), WalkConfig(seed=0, steps=0)),
+    lambda: run_circle_walk(CircleEnsemble(np.array([0.5])), 0, 0),
+    lambda: expected_gain_exact(np.array([[0.0, 0.6, 0.8]]), np.ones(3)),
+], ids=["sample_pair", "block_draws", "segments", "run_walk",
+        "run_circle_walk", "expected_gain_exact"])
+def test_pair_readers_refuse_one_row(refused):
     # At m = 1 the pair bound m(m-1) is 0, which numpy refuses without
-    # naming the row count.
-    with pytest.raises(ValueError, match="at least two rows"):
-        _BlockDraws(np.random.default_rng(0), 1)
+    # naming the row count; every reader of pairs refuses it in one
+    # message, even with no step to take.
+    with pytest.raises(ValueError,
+                       match="need at least two rows to form a pair, got 1"):
+        refused()
 
 
-@pytest.mark.parametrize("m", [2, 3, 16, 31, 200])
-def test_block_draws_pairs_match_sample_pair_across_blocks(m):
-    # segments(0, count) must leave the source where count sample_pair
-    # calls would, also when a piece ends short of a draw block or a
-    # draw block runs out inside a piece.
-    bound = m * (m - 1)
+@pytest.mark.parametrize("m", [2, 3, 16, 31, 200, 2**31 + 11])
+def test_segments_and_sample_pair_interleave_on_one_generator(m):
+    # _segments(rng, m, 0, count) must leave a plain generator where
+    # count sample_pair calls would, so the two can take turns on it;
+    # also when a piece ends short of a draw block, and at a pair bound
+    # past 2**62.
+    rng = np.random.default_rng(m)
     scalar = np.random.default_rng(m)
-    blocks = _BlockDraws(np.random.default_rng(m), m)
-    assert blocks.integers(bound) == int(scalar.integers(bound))
+    assert sample_pair(rng, m) == sample_pair(scalar, m)
     for count in (1, 0, _DRAW_BLOCK - 1, _DRAW_BLOCK, 3, 2 * _DRAW_BLOCK + 5):
-        assert ([(i, j) for _, ii, jj in blocks.segments(0, count)
+        assert ([(i, j) for _, ii, jj in _segments(rng, m, 0, count)
                  for i, j in zip(ii, jj)]
                 == [sample_pair(scalar, m) for _ in range(count)])
-        assert blocks.integers(bound) == int(scalar.integers(bound))
+        assert sample_pair(rng, m) == sample_pair(scalar, m)
+    assert int(rng.integers(m)) == int(scalar.integers(m))
 
 
 @pytest.mark.parametrize("m, steps, every", [
@@ -385,15 +404,15 @@ def test_block_draws_pairs_match_sample_pair_across_blocks(m):
 ], ids=["zero-steps", "every-past-end", "every-not-dividing",
         "past-blocks", "stride-past-blocks", "stride-on-blocks"])
 def test_segments_tile_the_walk_and_replay_sample_pair(m, steps, every):
-    # One segments call per stop interval of _stops(steps, every), as the
-    # walks make them, on one source.
+    # One _segments call per stop interval of _stops(steps, every), as
+    # the walks make them, on one generator.
     stops = _stops(steps, every)
     assert stops == sorted({0, *range(every, steps, every), steps})
     ii, jj = [], []
-    draws = _BlockDraws(np.random.default_rng(m), m)
+    rng = np.random.default_rng(m)
     for start, stop in zip(stops, stops[1:]):
         spans = []
-        for p, seg_i, seg_j in draws.segments(start, stop):
+        for p, seg_i, seg_j in _segments(rng, m, start, stop):
             assert len(seg_i) == len(seg_j)
             spans.append((p, p + len(seg_i)))
             ii += seg_i
@@ -522,19 +541,20 @@ def test_walked_A_and_b_are_views_of_one_augmented_array(m, n):
     assert not np.shares_memory(walked.A, system.A)
 
 
-@pytest.mark.parametrize("m,n,calls", [
-    (10, 10, 137),
-    (31, 30, 0),
+@pytest.mark.parametrize("m,n,calls,builds", [
+    (10, 10, 137, 1),
+    (31, 30, 0, 0),
 ], ids=["10x10", "31x30-levels"])
 def test_run_walk_calls_per_step_kernels_only_below_the_level_threshold(
-        monkeypatch, m, n, calls):
+        monkeypatch, m, n, calls, builds):
     # Systems below _LEVEL_MIN_ROWS rows call sample_pair and walk_step
-    # through the module once per step; perfbench's tracer counts exactly
-    # those calls (perfbench/selftest.py walks 10x10). Larger systems use
-    # the level engine, which calls neither.
+    # through the module once per step, on one _BlockDraws; perfbench's
+    # tracer counts exactly those calls (perfbench/selftest.py walks
+    # 10x10). Larger systems use the level engine, which calls neither
+    # and reads the generator itself.
     assert _LEVEL_MIN_ROWS > 10
     counts = {}
-    for name in ("sample_pair", "walk_step"):
+    for name in ("sample_pair", "walk_step", "_BlockDraws"):
         def counted(*args, _real=getattr(walk, name), _name=name):
             counts[_name] = counts.get(_name, 0) + 1
             return _real(*args)
@@ -542,6 +562,7 @@ def test_run_walk_calls_per_step_kernels_only_below_the_level_threshold(
     run_walk(make_system(m, n, 22), WalkConfig(seed=1, steps=137))
     assert counts.get("sample_pair", 0) == calls
     assert counts.get("walk_step", 0) == calls
+    assert counts.get("_BlockDraws", 0) == builds
 
 
 def test_config_validation():
