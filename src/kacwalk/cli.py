@@ -30,8 +30,8 @@ def build_parser():
                             formatter_class=argparse.RawDescriptionHelpFormatter)
         sp.add_argument("--config", type=Path, default=None,
                         help="flat key = value config file")
-        for name, (_, help_text) in experiments.FIELDS.items():
-            sp.add_argument("--" + name.replace("_", "-"), type=int,
+        for field, (_, help_text) in experiments.FIELDS.items():
+            sp.add_argument("--" + field.replace("_", "-"), type=int,
                             default=None, help=help_text)
         sp.add_argument("--out", type=str, default=None, dest="output_dir",
                         help="output directory (default: current directory)")

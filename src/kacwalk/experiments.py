@@ -34,7 +34,7 @@ from kacwalk.meanfield import (
 )
 from kacwalk.solver import SolveConfig, kaczmarz_solve
 from kacwalk.theory import expected_gain_exact, predict_linear, predict_logistic
-from kacwalk.walk import WalkConfig, _walk, run_walk
+from kacwalk.walk import WalkConfig, _pair_bound, _walk, run_walk
 
 __all__ = [
     "Experiment",
@@ -127,10 +127,8 @@ def _logistic_start(c):
     ell = _ell(c)
     if ell == c.n:
         return False
-    sigma0 = float(np.median([
-        linalg.singular_values(
-            systems.gaussian_system(c.m, c.n, c.seed + t).A)[ell - 1]
-        for t in range(c.trials)]))
+    sigma0 = float(np.median([linalg.singular_values(system.A)[ell - 1]
+                              for _, system in _systems(c)]))
     return sigma0 > 1.0 and (
         f"median starting value {sigma0:.3f} exceeds 1; the logistic "
         f"prediction needs a smaller singular value, i.e. an index ell "
@@ -257,6 +255,13 @@ def _bin(values, bins, hi):
     return 0.5 * (edges[:-1] + edges[1:]), counts
 
 
+def _systems(cfg):
+    """Yield (seed, system) per trial: trial t draws the seeded Gaussian
+    system of seed cfg.seed + t, one at a time."""
+    for seed in range(cfg.seed, cfg.seed + cfg.trials):
+        yield seed, systems.gaussian_system(cfg.m, cfg.n, seed)
+
+
 def _walk_trials(cfg, out, files, steps_csv=False):
     """Per trial: draw the seeded Gaussian system, walk it, and write
     ``sigma_traj_<seed>.csv`` (and ``steps_<seed>.csv`` if asked).
@@ -268,9 +273,7 @@ def _walk_trials(cfg, out, files, steps_csv=False):
     through). Each step log is dropped before the next trial, since long
     runs log millions of steps."""
     runs, health = [], []
-    for t in range(cfg.trials):
-        seed = cfg.seed + t
-        system = systems.gaussian_system(cfg.m, cfg.n, seed)
+    for seed, system in _systems(cfg):
         _, log, snaps = run_walk(system, WalkConfig(
             seed=seed, steps=cfg.steps, snapshot_every=cfg.snapshot_every))
         files.append(io.write_snapshots_csv(out / f"sigma_traj_{seed}.csv", snaps))
@@ -451,9 +454,7 @@ def exp_solver_compare(cfg, out, files):
     max_iters = _extra(cfg, "max_iters")
     budgets = dict.fromkeys((cfg.steps, *_extra(cfg, "budgets")))
     trials = []
-    for t in range(cfg.trials):
-        seed = cfg.seed + t
-        system = systems.gaussian_system(cfg.m, cfg.n, seed)
+    for seed, system in _systems(cfg):
         x0 = np.zeros(cfg.n)
         scfg = SolveConfig(seed=seed, max_iters=max_iters,
                            target_residual=TARGET_RESIDUAL,
@@ -506,7 +507,7 @@ def exp_theorem_audit(cfg, out, files):
         x = rng.standard_normal(n)
         rep = expected_gain_exact(A, x)
         gap = rep.expected_norm_sq - rep.bound_rhs
-        pairs = m * (m - 1)
+        pairs = _pair_bound(m)
         refined_rhs = rep.base_norm_sq + (rep.sigma_sum + rep.sigma2_sum) / pairs
         refined_gaps.append(rep.expected_norm_sq - refined_rhs)
         sigma2_min = min(sigma2_min, rep.sigma2_sum)

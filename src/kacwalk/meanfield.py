@@ -265,15 +265,15 @@ def _rk4_path(grid, t_end, dt):
     """Yield (t, u) after each RK4 substep from grid to absolute time t_end.
 
     The substeps are the fewest equal ones of size at most dt that cover
-    the interval. After each, the density is checked for blow-up,
+    the interval, and at least one: a zero-length interval is one substep
+    of size 0, which leaves every entry of u as it was except that -0.0
+    becomes +0.0. After each, the density is checked for blow-up,
     negativity and drift from grid's mass."""
     if not 0.0 < dt <= 0.01:
         raise ValueError(f"dt must lie in (0, 0.01], got {dt}")
     duration = t_end - grid.t
     if duration < 0.0:
         raise ValueError(f"t_end {t_end} is before the grid time {grid.t}")
-    if duration == 0.0:
-        return
     nsteps = max(1, math.ceil(duration / dt - 1e-9))
     step = duration / nsteps
     u, h = grid.u, grid.cell_width

@@ -9,7 +9,10 @@ which is what the audit in the test-suite checks instance by instance.
 The prediction helpers turn the per-step version of that bound into
 trajectories for the smallest singular values: compounding the mean
 one-step growth gives an exponential curve, and keeping the saturation
-term gives a logistic curve that levels off at 1.
+term gives a logistic curve that levels off at 1. Their one-step factor
+1 + 2/(n(n-1)) divides by the n(n-1) ordered row pairs of the n x n
+system, which walk._pair_bound counts, for the walk as for these curves,
+and refuses below n = 2.
 """
 
 import math
@@ -112,9 +115,7 @@ def expected_gain_exact(A, x):
     )
 
 
-def _check_prediction_args(n, sigma0):
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+def _check_sigma0(sigma0):
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
 
@@ -124,11 +125,12 @@ def predict_linear(n, sigma0, k):
 
     Valid while the value stays well below 1; it ignores saturation and
     eventually overshoots. ``k`` may be a scalar or an array of step
-    counts.
+    counts. n(n-1), the ordered row pairs, comes from walk._pair_bound,
+    which refuses n < 2.
     """
-    _check_prediction_args(n, sigma0)
+    _check_sigma0(sigma0)
     k = np.asarray(k, dtype=np.float64)
-    out = sigma0 * (1.0 + 2.0 / (n * (n - 1))) ** (k / 2.0)
+    out = sigma0 * (1.0 + 2.0 / _pair_bound(n)) ** (k / 2.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -137,13 +139,14 @@ def predict_logistic(n, sigma0, k):
 
     Closed form (1 + (1/sigma0^2 - 1) exp(-2k/(n(n-1))))^(-1/2), the
     solution of y' = 2/(n(n-1)) * (y - y^2) for y = sigma^2 started at
-    sigma0^2. Requires 0 < sigma0 <= 1.
+    sigma0^2. Requires 0 < sigma0 <= 1, and n >= 2 for the n(n-1)
+    ordered row pairs walk._pair_bound counts.
     """
-    _check_prediction_args(n, sigma0)
+    _check_sigma0(sigma0)
     if sigma0 > 1.0:
         raise ValueError(f"sigma0 must be <= 1, got {sigma0}")
     k = np.asarray(k, dtype=np.float64)
-    decay = np.exp(-2.0 * k / (n * (n - 1)))
+    decay = np.exp(-2.0 * k / _pair_bound(n))
     out = (1.0 + (1.0 / sigma0**2 - 1.0) * decay) ** -0.5
     return float(out) if out.ndim == 0 else out
 
@@ -157,10 +160,10 @@ def logistic_ode_check(n, sigma0, t_max):
     resolution the two should agree to ~1e-10, so any visible gap means
     the shipped predictor is wrong.
     """
-    _check_prediction_args(n, sigma0)
+    _check_sigma0(sigma0)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    rate = 2.0 / (n * (n - 1))
+    rate = 2.0 / _pair_bound(n)
     nsteps = max(100, math.ceil(t_max * rate / 0.01))
     h = t_max / nsteps
     exact = predict_logistic(n, sigma0, h * np.arange(1, nsteps + 1)) ** 2

@@ -276,6 +276,28 @@ def test_solver_compare_walks_each_trial_once(tmp_path, monkeypatch):
     assert len(files) == 2 * 5 + 1
 
 
+@pytest.mark.parametrize("experiment, extra, draws", [
+    ("square_walk", {"ell": "6"}, [(8, 8, 0), (8, 8, 1)] * 2),
+    ("solver_compare", {"max_iters": "50"}, [(8, 8, 0), (8, 8, 1)]),
+], ids=["square_walk-ell-check", "solver_compare"])
+def test_trials_draw_the_seeded_systems(tmp_path, monkeypatch, experiment,
+                                        extra, draws):
+    # square_walk's ell check draws exactly the systems its walk then
+    # draws, one a trial; solver_compare draws each trial's system once.
+    calls = []
+    real = systems.gaussian_system
+
+    def recorded(m, n, seed):
+        calls.append((m, n, seed))
+        return real(m, n, seed)
+
+    monkeypatch.setattr(systems, "gaussian_system", recorded)
+    run_experiment(default_config(experiment, output_dir=tmp_path, m=8, n=8,
+                                  steps=20, snapshot_every=10, trials=2,
+                                  extra=extra))
+    assert calls == draws
+
+
 def test_solver_compare_defaults_report_the_walked_solve(tmp_path):
     # At the default budget, 6 n^2 walk steps, the walked 100x100 system
     # reaches the target well inside the cap (1900 iterations at seed 0);

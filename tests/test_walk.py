@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from kacwalk import io, linalg, walk
 from kacwalk.meanfield import CircleEnsemble, run_circle_walk
 from kacwalk.systems import gaussian_system, random_orthogonal_system
-from kacwalk.theory import expected_gain_exact
+from kacwalk.theory import (
+    expected_gain_exact,
+    logistic_ode_check,
+    predict_linear,
+    predict_logistic,
+)
 from kacwalk.walk import (
     _DRAW_BLOCK,
     _LEVEL_MIN_ROWS,
@@ -366,8 +371,12 @@ def _one_row_system():
     lambda: run_walk(_one_row_system(), WalkConfig(seed=0, steps=0)),
     lambda: run_circle_walk(CircleEnsemble(np.array([0.5])), 0, 0),
     lambda: expected_gain_exact(np.array([[0.0, 0.6, 0.8]]), np.ones(3)),
+    lambda: predict_linear(1, 0.1, 5),
+    lambda: predict_logistic(1, 0.5, 5),
+    lambda: logistic_ode_check(1, 0.5, 1.0),
 ], ids=["sample_pair", "block_draws", "segments", "run_walk",
-        "run_circle_walk", "expected_gain_exact"])
+        "run_circle_walk", "expected_gain_exact", "predict_linear",
+        "predict_logistic", "logistic_ode_check"])
 def test_pair_readers_refuse_one_row(refused):
     # At m = 1 the pair bound m(m-1) is 0, which numpy refuses without
     # naming the row count; every reader of pairs refuses it in one

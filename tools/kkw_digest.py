@@ -10,11 +10,14 @@ lists them. Diffing the output of two checkouts shows whether a change
 kept every output byte.
 
 The configs cover both walk engines (below and from 16 rows), on square
-and on tall systems, runs that apply no step (``--steps 0`` and a
-one-column system, whose pairs are all parallel), the circle walk with
-and without the mean-field integration and at two angles (the smallest
-pair bound, m(m - 1) = 2), ``solver_compare`` with repeated
-and zero budgets and on a tall system, and ``theorem_audit``.
+and on tall systems, ``square_8_ell6`` (``-x ell=6``, whose start check
+draws the trials' systems before the walk does), runs that apply no step
+(``--steps 0`` and a one-column system, whose pairs are all parallel),
+the circle walk with and without the mean-field integration and at two
+angles (the smallest pair bound, m(m - 1) = 2), ``solver_compare`` with
+repeated and zero budgets and on a tall system, and ``theorem_audit`` at
+its stock shapes and as ``theorem_audit_shapes`` (12 instances of
+``-x shapes=12x12,3x2``).
 """
 
 import hashlib
@@ -32,6 +35,8 @@ CONFIGS = [
      dict(m=8, n=8, steps=400, snapshot_every=37, trials=2), {}),
     ("square_20", "square_walk",
      dict(m=20, n=20, steps=2000, snapshot_every=100, trials=2), {}),
+    ("square_8_ell6", "square_walk",
+     dict(m=8, n=8, steps=400, snapshot_every=50, trials=2), {"ell": "6"}),
     ("square_steps0", "square_walk",
      dict(m=8, n=8, steps=0, trials=1), {}),
     ("overdetermined_30x10", "overdetermined",
@@ -54,6 +59,8 @@ CONFIGS = [
     ("solver_compare_tall", "solver_compare",
      dict(m=60, n=20, steps=2000, trials=1), {}),
     ("theorem_audit", "theorem_audit", {}, {}),
+    ("theorem_audit_shapes", "theorem_audit",
+     dict(trials=12), {"shapes": "12x12,3x2"}),
 ]
 
 

@@ -14,8 +14,8 @@ traced frame reached, then a one-line summary, and exits with pytest's
 status.
 
 Tests that start ``kkw`` or a script in a subprocess are not traced, so
-lines reached only there are listed. Tracing slows the run down several
-fold: expect about 40 s where tier-1 alone takes 11 s.
+lines reached only there are listed. Tracing about doubles the run: on
+a 2-vCPU VM it took 37 s where tier-1 alone took 18 s.
 """
 
 import sys
